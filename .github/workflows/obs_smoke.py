@@ -94,10 +94,17 @@ try:
 
     assert "version=0.0.4" in content_type, content_type
     n_samples = validate_exposition(body)
+    with urlopen(
+        f"http://127.0.0.1:{ports['http_port']}/health", timeout=10.0
+    ) as response:
+        version = json.loads(response.read().decode("utf-8"))["model_version"]
+    # Session series carry the shard worker's labels: on the event loop
+    # that is worker "w0", exactly as with one forked worker.
+    session_labels = f'deployment="smoke",model_version="{version}",worker="w0"'
     expected = (
-        'repro_streaming_packets_total{deployment="smoke"} 500',
+        f"repro_streaming_packets_total{{{session_labels}}} 500",
         '# TYPE repro_service_ingest_seconds histogram',
-        'repro_incidents_opened_total{deployment="smoke"}',
+        f"repro_incidents_opened_total{{{session_labels}}}",
     )
     for needle in expected:
         assert needle in body, f"missing from exposition: {needle!r}"

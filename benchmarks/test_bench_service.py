@@ -57,8 +57,8 @@ def test_bench_service_throughput(benchmark, citysee_service_tool,
                 return replay_trace(client, "bench", frame, batch_size=512)
 
         report = benchmark.pedantic(replay, rounds=1, iterations=1)
-        handle.call(handle.service.shards["bench"].drain)
-        metrics = handle.run_sync(handle.service.metrics_snapshot)
+        handle.stop(drain=True)
+        metrics = handle.service.metrics_snapshot()
         shard = metrics["deployments"]["bench"]
 
     print("\n=== Service ingest throughput (default CitySee model) ===")
@@ -99,11 +99,11 @@ def test_bench_service_backpressure_drops_nothing(benchmark,
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
                 if handle.run_sync(
-                    lambda: handle.service.shards["bp"].pending
+                    lambda: handle.service.backend.routes["bp"].pending
                 ) == 0:
                     break
                 time.sleep(0.01)
-            handle.run_sync(lambda: handle.service.shards["bp"].pause())
+            handle.run_sync(lambda: handle.service.backend.transport.pause())
 
             # Frozen worker: raw ingests must hit an explicit rejection.
             rejections = 0
@@ -128,7 +128,9 @@ def test_bench_service_backpressure_drops_nothing(benchmark,
             assert rejections >= 1, "queue never filled"
 
             # Worker resumes; the SDK's retry loop lands the remainder.
-            handle.run_sync(lambda: handle.service.shards["bp"].unpause())
+            handle.run_sync(
+                lambda: handle.service.backend.transport.unpause()
+            )
             sdk = ServiceClient(port=handle.port)
             retries = 0
             for start in range(sent, len(packets), 512):
@@ -136,13 +138,10 @@ def test_bench_service_backpressure_drops_nothing(benchmark,
                 sent += result.accepted
                 retries += result.backpressure_retries
 
-            handle.call(handle.service.shards["bp"].drain)
-            snapshot = handle.run_sync(
-                lambda: handle.service.shards["bp"].snapshot()
-            )
+            handle.stop(drain=True)
+            snapshot = handle.service.metrics_snapshot()["deployments"]["bp"]
             probe.close()
             sdk.close()
-            handle.stop(drain=False)
         return rejections, retries, sent, snapshot
 
     rejections, retries, sent, snapshot = benchmark.pedantic(
@@ -200,8 +199,7 @@ def _cluster_fanout(tool, frame, workers: int):
     from urllib.request import urlopen
 
     names = [f"bench-{i}" for i in range(CLUSTER_DEPLOYMENTS)]
-    config = ServiceConfig(port=0, http_port=0, workers=workers,
-                           backend="pool")
+    config = ServiceConfig(port=0, http_port=0, workers=workers)
     with start_service_thread(tool, config) as handle:
         report = replay_trace_fanout(
             ServiceClient(port=handle.port), names, frame, batch_size=512,
@@ -225,8 +223,9 @@ def test_bench_cluster_scaling(benchmark, citysee_service_tool,
                                citysee_default_trace):
     """The cluster PR's gate: paired 1-worker vs 4-worker fanout.
 
-    Same trace, same 8 deployments, same ``backend="pool"`` machinery —
-    the only variable is worker count, so the ratio isolates what the
+    Same trace, same 8 deployments, same forked-worker machinery (one
+    worker is a real process at ``workers=1``) — the only variable is
+    worker count, so the ratio isolates what the
     process pool buys over a single diagnosis process.
     """
     from repro.obs import validate_exposition

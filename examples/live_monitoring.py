@@ -89,7 +89,7 @@ def main() -> None:
         listener = threading.Thread(target=subscribe, daemon=True)
         listener.start()
         while not handle.run_sync(
-            lambda: handle.service.shard(DEPLOYMENT).subscribers
+            lambda: handle.service.backend.route(DEPLOYMENT).subscribers
         ):
             time.sleep(0.01)
 

@@ -1088,9 +1088,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace file whose header supplies node positions "
                         "for spatial incident clustering")
     p.add_argument("--workers", type=int, default=0, metavar="N",
-                   help="shard worker processes; <=1 keeps diagnosis "
-                        "in-process, >=2 shards deployments over a "
-                        "consistent-hash-routed process pool")
+                   help="shard worker processes; 0 (default) diagnoses "
+                        "on the server's event loop, N>=1 forks N workers "
+                        "and routes deployments over them by consistent "
+                        "hashing (--workers 1 forks one worker)")
     p.add_argument("--ready-file", default=None, metavar="FILE",
                    help="write the bound ports as JSON once listening and "
                         "every shard worker is heartbeating "

@@ -88,7 +88,9 @@ def _mass_mask(values: np.ndarray, retention: float) -> np.ndarray:
     order = np.argsort(flat)[::-1]
     cumulative = np.cumsum(flat[order])
     # Number of entries needed to reach the target mass (at least one).
-    needed = int(np.searchsorted(cumulative, retention * total) + 1)
+    # Compare the mass *fraction*: ``retention * total`` rounds badly when
+    # the weights are subnormal, and would undershoot the target.
+    needed = int(np.searchsorted(cumulative / total, retention) + 1)
     needed = min(needed, flat.size)
     mask[order[:needed]] = True
     return mask.reshape(values.shape)

@@ -2,7 +2,7 @@
 
 The hub is *just another subscriber*: it hands the shard backend one
 ``asyncio.Queue`` per the existing subscribe contract
-(:meth:`~repro.service.backends.ShardBackend.subscribe`) and fans the
+(:meth:`~repro.service.backends.ShardRouter.subscribe`) and fans the
 arriving event messages out to attached browsers as SSE frames.  Nothing
 in the diagnosis path knows the dashboard exists.
 

@@ -3,9 +3,10 @@
 The streaming core behind a network boundary: an asyncio TCP/HTTP front
 door (:mod:`~repro.service.server`) routing one
 :class:`~repro.core.streaming.StreamingDiagnosisSession` shard per named
-deployment onto a :class:`~repro.service.backends.ShardBackend` —
-in-process asyncio tasks by default, or a consistent-hash-routed pool of
-worker processes (:mod:`~repro.service.worker`) with ``workers=N``.
+deployment to a :class:`~repro.service.worker.ShardWorker` through a
+:class:`~repro.service.backends.ShardRouter` — one worker on the
+server's event loop by default, or a consistent-hash-routed pool of
+worker processes with ``workers=N``.
 Plus an NDJSON wire protocol (:mod:`~repro.service.protocol`), a
 sync/async client SDK (:mod:`~repro.service.client`) and a trace load
 generator (:mod:`~repro.service.loadgen`).  Start one from the CLI with
@@ -13,12 +14,7 @@ generator (:mod:`~repro.service.loadgen`).  Start one from the CLI with
 :func:`start_service_thread`.
 """
 
-from repro.service.backends import (
-    HashRing,
-    InprocBackend,
-    ProcessPoolBackend,
-    ShardBackend,
-)
+from repro.service.backends import HashRing, ShardRouter
 from repro.service.client import (
     AsyncServiceClient,
     BackoffPolicy,
@@ -32,7 +28,6 @@ from repro.service.metrics import LatencyWindow, ShardCounters
 from repro.service.models import ModelManager
 from repro.service.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.service.server import (
-    DeploymentShard,
     DiagnosisService,
     ServiceConfig,
     ServiceHandle,
@@ -55,23 +50,20 @@ def __getattr__(name: str):
 __all__ = [
     "AsyncServiceClient",
     "BackoffPolicy",
-    "DeploymentShard",
     "DiagnosisService",
     "FanoutReport",
     "HashRing",
-    "InprocBackend",
     "LatencyWindow",
     "LoadgenReport",
     "ModelManager",
     "PROTOCOL_VERSION",
-    "ProcessPoolBackend",
     "ProtocolError",
     "ServiceClient",
     "ServiceConfig",
     "ServiceHandle",
     "ServiceUnavailable",
-    "ShardBackend",
     "ShardCounters",
+    "ShardRouter",
     "SubmitResult",
     "http_get_json",
     "http_post_json",

@@ -1,45 +1,45 @@
-"""Shard backends: where a deployment's diagnosis session actually runs.
+"""Shard routing: the front door's half of every deployment.
 
-PR 4 built the sink as one asyncio process — the front door *was* the
-shard host.  This module splits that coupling: the server keeps the
-listeners, wire protocol and backpressure contract, and delegates shard
-execution to a :class:`ShardBackend`:
+A deployment's :class:`~repro.core.streaming.StreamingDiagnosisSession`
+lives in a :class:`~repro.service.worker.ShardWorker` and nowhere else.
+The front door keeps one :class:`ShardRoute` per deployment and a single
+:class:`ShardRouter` that routes batches to workers by consistent
+hashing on the deployment name (:class:`HashRing`) over one of two
+transports:
 
-* :class:`InprocBackend` — the original architecture, unchanged: one
-  :class:`~repro.service.server.DeploymentShard` (session + bounded
-  queue + worker task) per deployment, inside the server process.  The
-  default, and bit-identical to the pre-split server.
-* :class:`ProcessPoolBackend` — shards live in a pool of worker
-  processes (:mod:`repro.service.worker` children driven through
-  :class:`repro.runner.pool.ProcessPool`), routed by consistent hashing
-  on the deployment name (:class:`HashRing`).  The front door validates
-  and sequences batches, fans them out over FIFO pipes, and merges the
-  returned incident-event streams — per-deployment ordering holds
-  because one deployment maps to one worker and both pipe directions
-  are FIFO.
+* ``workers=0`` (the default) — a
+  :class:`~repro.service.worker.LoopTransport`: one worker, ``w0``, on
+  the front door's own event loop.
+* ``workers=N`` (N >= 1) — a :class:`repro.runner.pool.ProcessPool` of
+  N forked :func:`~repro.service.worker.worker_main` processes.
 
-Failure semantics of the pool backend (the cluster's contract):
+Both speak the same worker messages, and the router handles every reply
+in one place (:meth:`ShardRouter._handle`).  Per-deployment ordering
+holds because one deployment maps to one worker and both transports are
+FIFO both ways.
 
-* **Backpressure** is still per deployment and still explicit: a route
-  tracks packets sent-but-unacked, and a batch that would push it past
+Failure semantics (the sink's contract):
+
+* **Backpressure** is per deployment and explicit: a route tracks
+  packets sent-but-unacked, and a batch that would push it past
   ``queue_size`` is rejected with ``retry_after`` — never dropped.
-* **Worker death** is observed as pipe EOF.  The dead worker leaves the
-  hash ring, its deployments remap to survivors (minimal movement —
-  that is the point of the ring), and every unacked batch is replayed
-  in order to the new owner, whose session materializes fresh on the
-  first replayed packet.  Delivery is therefore *at least once* across
-  a crash: a batch the dead worker had half-diagnosed is diagnosed
-  again, but no accepted packet is ever lost.
-* **Graceful drain** (SIGTERM) broadcasts ``drain_all``; pipe FIFO
+* **Worker death** (pipe transport) is observed as pipe EOF.  The dead
+  worker leaves the hash ring, its deployments remap to survivors
+  (minimal movement — that is the point of the ring), and every unacked
+  batch is replayed in order to the new owner, whose session
+  materializes fresh on the first replayed packet.  Delivery is
+  therefore *at least once* across a crash: a batch the dead worker had
+  half-diagnosed is diagnosed again, but no accepted packet is ever lost.
+* **Graceful drain** (SIGTERM) broadcasts ``drain_all``; FIFO order
   guarantees every accepted batch is diagnosed before the worker
   flushes open incidents and reports ``w_bye`` with its final metrics
-  dump and span trees.
+  dump.
 
 Metrics: each route keeps front-door :class:`ShardCounters` (labelled
-``{"deployment"}``, exactly like inproc), workers keep their sessions'
-series labelled ``{"deployment", "worker"}``, and the merged Prometheus
-scrape is rendered via :func:`repro.obs.merge_dumps` over the front
-door's registry dump plus the latest dump from every worker.
+``{"deployment"}``), workers keep their sessions' series labelled
+``{"deployment", "worker"}``, and the Prometheus scrape is rendered via
+:func:`repro.obs.merge_dumps` over the front door's registry dump plus
+the latest dump from every worker.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ import bisect
 import time
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
 from hashlib import sha256
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs import get_tracer, merge_dumps
 from repro.service import protocol
@@ -60,30 +59,11 @@ from repro.service.metrics import (
     ShardCounters,
     empty_session_counters,
 )
+# Re-exported: the benchmark's output check builds its /incidents
+# expectation with it.
+from repro.service.worker import _tracker_doc  # noqa: F401
 
-__all__ = [
-    "HashRing",
-    "InprocBackend",
-    "ModelSwap",
-    "ProcessPoolBackend",
-    "ShardBackend",
-    "make_backend",
-]
-
-
-@dataclass
-class ModelSwap:
-    """In-queue rotation command for inproc shards.
-
-    The inproc backend rotates by enqueuing one of these into every
-    shard's packet queue: the shard loop applies it strictly between two
-    batches — the same FIFO-boundary guarantee the pool backend gets from
-    its worker pipes — and resolves ``future`` with the session's
-    rotation boundary.
-    """
-
-    tool: object
-    future: asyncio.Future
+__all__ = ["HashRing", "ShardRoute", "ShardRouter"]
 
 
 class HashRing:
@@ -139,251 +119,24 @@ class HashRing:
         return self._owners[index]
 
 
-class ShardBackend:
-    """What the front door needs from a shard host.
-
-    Sync methods run on the server's event loop (dispatch path); async
-    methods are awaited by lifecycle and HTTP handlers.  ``try_enqueue``
-    must be atomic — either the whole batch is accepted (and will be
-    diagnosed exactly in order within its deployment) or nothing is.
-    """
-
-    name = "abstract"
-
-    async def start(self) -> None:
-        raise NotImplementedError
-
-    async def wait_ready(self, timeout: Optional[float] = None) -> bool:
-        """True once every shard host is confirmed healthy."""
-        raise NotImplementedError
-
-    def try_enqueue(self, deployment: str, packets, now: float) -> Tuple[bool, int]:
-        """Atomically accept or backpressure one batch → (accepted, queued)."""
-        raise NotImplementedError
-
-    def deployments(self) -> List[str]:
-        """Names of every materialized shard/route."""
-        raise NotImplementedError
-
-    def subscribe(self, deployment: str, outbox: asyncio.Queue) -> None:
-        raise NotImplementedError
-
-    def unsubscribe(self, deployment: str, outbox: asyncio.Queue) -> None:
-        raise NotImplementedError
-
-    async def drain(self) -> None:
-        """Diagnose everything accepted, flush open incidents, shut down."""
-        raise NotImplementedError
-
-    async def abort(self) -> None:
-        """Shut down without draining (the fast test-teardown path)."""
-        raise NotImplementedError
-
-    def shard_snapshots(self) -> Dict[str, dict]:
-        """Per-deployment ``/metrics`` entries (may be a beat stale)."""
-        raise NotImplementedError
-
-    async def refresh(self) -> None:
-        """Pull fresh state from the shard hosts (no-op inproc)."""
-
-    async def rotate_model(self, tool) -> Dict[str, dict]:
-        """Atomically swap every live session to ``tool`` mid-stream.
-
-        Returns deployment → rotation boundary (``{"packets", "states"}``)
-        for every shard that existed when the rotation landed.  The swap
-        is a FIFO barrier per shard: no batch is split across models, no
-        event is dropped, duplicated or reordered.
-        """
-        raise NotImplementedError
-
-    async def collect_refit_states(self) -> Tuple[Dict[str, object], Dict[str, float]]:
-        """Drain retained exception states and drift scores per shard.
-
-        Returns ``(states, drift)``: deployment → drained
-        :class:`~repro.core.states.StateMatrix` (omitted when empty) and
-        deployment → drift score.
-        """
-        raise NotImplementedError
-
-    async def prometheus_text(self) -> str:
-        raise NotImplementedError
-
-    async def registry_snapshot(self) -> dict:
-        """The registry's JSON snapshot, merged across all processes
-        (``GET /api/series`` — the dashboard's sparkline feed)."""
-        raise NotImplementedError
-
-    async def incidents_doc(self, deployment: Optional[str] = None) -> dict:
-        raise NotImplementedError
-
-    async def node_summaries_doc(
-        self, deployment: Optional[str] = None
-    ) -> Dict[str, list]:
-        """Deployment → per-node summary list (the ``/api/topology`` feed).
-
-        Summaries come from each live session's
-        :meth:`~repro.core.streaming.StreamingDiagnosisSession.node_summaries`;
-        in cluster mode one deployment lives on exactly one worker, so
-        merging per-worker answers never collides.
-        """
-        raise NotImplementedError
-
-    def describe(self) -> dict:
-        """The ``/health`` backend section (worker ids/pids/liveness)."""
-        raise NotImplementedError
-
-
-# --------------------------------------------------------------------------
-# in-process backend (the PR 4 architecture, verbatim)
-# --------------------------------------------------------------------------
-
-
-class InprocBackend(ShardBackend):
-    """Shards as asyncio tasks inside the server process (the default)."""
-
-    name = "inproc"
-
-    def __init__(self, service):
-        self.service = service
-        #: Exposed as ``DiagnosisService.shards`` for compatibility —
-        #: tests and benchmarks poke shard internals through it.
-        self.shards: Dict[str, object] = {}
-
-    async def start(self) -> None:
-        pass
-
-    async def wait_ready(self, timeout: Optional[float] = None) -> bool:
-        return True
-
-    def shard(self, deployment: str):
-        shard = self.shards.get(deployment)
-        if shard is None:
-            from repro.service.server import DeploymentShard
-
-            shard = self.shards[deployment] = DeploymentShard(
-                deployment, self.service
-            )
-            self.service._deployment_materialized(deployment)
-        return shard
-
-    def try_enqueue(self, deployment: str, packets, now: float) -> Tuple[bool, int]:
-        shard = self.shard(deployment)
-        accepted = shard.try_enqueue(packets, now)
-        return accepted, shard.pending
-
-    def deployments(self) -> List[str]:
-        return list(self.shards)
-
-    def subscribe(self, deployment: str, outbox: asyncio.Queue) -> None:
-        self.shard(deployment).subscribers.add(outbox)
-
-    def unsubscribe(self, deployment: str, outbox: asyncio.Queue) -> None:
-        shard = self.shards.get(deployment)
-        if shard is not None:
-            shard.subscribers.discard(outbox)
-
-    async def drain(self) -> None:
-        for shard in self.shards.values():
-            await shard.drain()
-
-    async def abort(self) -> None:
-        for shard in self.shards.values():
-            shard.worker.cancel()
-
-    def shard_snapshots(self) -> Dict[str, dict]:
-        return {
-            name: shard.snapshot()
-            for name, shard in sorted(self.shards.items())
-        }
-
-    async def rotate_model(self, tool) -> Dict[str, dict]:
-        """Swap every shard to ``tool`` via an in-queue :class:`ModelSwap`.
-
-        The sentinel rides the same bounded queue as packet batches, so
-        the shard loop applies it strictly between two batches — exactly
-        the FIFO boundary the pool backend gets from its worker pipes.
-        ``service.tool`` is updated first so shards materialized during
-        the rotation start on the new model from their first packet.
-        """
-        self.service.tool = tool
-        loop = asyncio.get_running_loop()
-        waits = []
-        for name, shard in sorted(self.shards.items()):
-            swap = ModelSwap(tool=tool, future=loop.create_future())
-            shard.queue.put_nowait(swap)
-            waits.append((name, swap.future))
-        return {name: await future for name, future in waits}
-
-    async def collect_refit_states(self) -> Tuple[Dict[str, object], Dict[str, float]]:
-        states: Dict[str, object] = {}
-        drift: Dict[str, float] = {}
-        for name, shard in sorted(self.shards.items()):
-            drained = shard.session.drain_exception_states()
-            if len(drained):
-                states[name] = drained
-            drift[name] = shard.session.drift_score
-        return states, drift
-
-    async def prometheus_text(self) -> str:
-        return self.service.registry.to_prometheus()
-
-    async def registry_snapshot(self) -> dict:
-        return self.service.registry.snapshot()
-
-    async def incidents_doc(self, deployment: Optional[str] = None) -> dict:
-        names = (
-            [deployment] if deployment is not None else sorted(self.shards)
-        )
-        out = {}
-        for name in names:
-            shard = self.shards.get(name)
-            if shard is None:
-                continue
-            out[name] = _tracker_doc(shard.session.tracker)
-        return out
-
-    async def node_summaries_doc(
-        self, deployment: Optional[str] = None
-    ) -> Dict[str, list]:
-        names = (
-            [deployment] if deployment is not None else sorted(self.shards)
-        )
-        out = {}
-        for name in names:
-            shard = self.shards.get(name)
-            if shard is not None:
-                out[name] = shard.session.node_summaries()
-        return out
-
-    def describe(self) -> dict:
-        return {"backend": self.name, "workers": []}
-
-
-def _tracker_doc(tracker) -> dict:
-    return {
-        "open": [
-            protocol.incident_obj(i) for i in tracker.open_incidents()
-        ],
-        "closed": [protocol.incident_obj(i) for i in tracker.incidents],
-        "closed_total": tracker.n_closed_total,
-        "evicted": tracker.n_evicted,
-    }
-
-
-# --------------------------------------------------------------------------
-# multi-process backend
-# --------------------------------------------------------------------------
+def _merged(replies: List[dict], key: str) -> dict:
+    """Union of the per-worker ``key`` maps, sorted by deployment (one
+    deployment lives on exactly one worker, so nothing collides)."""
+    out: dict = {}
+    for reply in replies:
+        out.update(reply.get(key) or {})
+    return dict(sorted(out.items()))
 
 
 class ShardRoute:
-    """Front-door state for one deployment routed to a pool worker."""
+    """Front-door state for one deployment routed to a worker."""
 
-    def __init__(self, name: str, backend: "ProcessPoolBackend"):
-        service = backend.service
+    def __init__(self, name: str, router: "ShardRouter"):
+        service = router.service
         config = service.config
         labels = {"deployment": name}
         self.name = name
-        self.worker_id: Optional[str] = backend.ring.lookup(name)
+        self.worker_id: Optional[str] = router.ring.lookup(name)
         self.pending = 0  #: packets sent to the worker, not yet acked
         self.peak_pending = 0
         self.batch_seq = 0
@@ -396,7 +149,7 @@ class ShardRoute:
             labels=labels,
         )
         self.subscribers: Set[asyncio.Queue] = set()
-        #: Latest session counters reported by the owning worker.
+        #: Session counters the owning worker's last ack/drain carried.
         self.session_counters: dict = empty_session_counters()
         ref = weakref.ref(self)
         service.registry.gauge(
@@ -419,7 +172,7 @@ class ShardRoute:
 
         ``events`` are :func:`protocol.incident_event_obj` dicts exactly
         as the worker's session emitted them, so the framed messages are
-        byte-identical to the inproc backend's.
+        byte-identical to :func:`protocol.event_message`'s.
         """
         if not events:
             return
@@ -440,8 +193,8 @@ class ShardRoute:
                 outbox.put_nowait(message)
 
     def snapshot(self) -> dict:
+        """The ``/metrics`` entry for this deployment."""
         return {
-            **empty_session_counters(),
             **self.session_counters,
             **self.counters.snapshot(),
             "queue_depth_packets": self.pending,
@@ -451,19 +204,25 @@ class ShardRoute:
         }
 
 
-class ProcessPoolBackend(ShardBackend):
-    """Shards in a pool of worker processes, consistent-hash routed."""
+class ShardRouter:
+    """Routes deployments to shard workers over one transport.
 
-    name = "pool"
+    Sync methods run on the server's event loop (dispatch path); async
+    methods are awaited by lifecycle and HTTP handlers.  ``try_enqueue``
+    is atomic — either the whole batch is accepted (and will be
+    diagnosed exactly in order within its deployment) or nothing is.
 
-    def __init__(self, service, n_workers: int):
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    ``transport`` is set by :meth:`start`: a
+    :class:`~repro.service.worker.LoopTransport` at ``workers=0``, a
+    :class:`~repro.runner.pool.ProcessPool` otherwise.
+    """
+
+    def __init__(self, service):
         self.service = service
-        self.n_workers = n_workers
+        self.name = "pool" if service.config.workers else "inproc"
         self.ring = HashRing()
         self.routes: Dict[str, ShardRoute] = {}
-        self.pool = None
+        self.transport = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._ready: Optional[asyncio.Event] = None
         self._draining = False
@@ -512,21 +271,26 @@ class ProcessPoolBackend(ShardBackend):
 
     async def start(self) -> None:
         from repro.runner.pool import ProcessPool
-        from repro.service.worker import worker_main
+        from repro.service import worker
 
         self._loop = asyncio.get_running_loop()
         self._ready = asyncio.Event()
-        self.pool = ProcessPool(
-            worker_main,
-            self.n_workers,
-            args=(self.service.tool, self._worker_options()),
-            on_message=self._on_pipe_message,
-        )
-        self.pool.start()
-        for worker_id in self.pool.workers:
+        tool, options = self.service.tool, self._worker_options()
+        n_workers = self.service.config.workers
+        if n_workers:
+            self.transport = ProcessPool(
+                worker.worker_main,
+                n_workers,
+                args=(tool, options),
+                on_message=self._on_pipe_message,
+            )
+        else:
+            self.transport = worker.LoopTransport(tool, options, self._handle)
+        self.transport.start()
+        for worker_id, pid in self.transport.pids().items():
             self.ring.add(worker_id)
             self._workers[worker_id] = {
-                "pid": self.pool.workers[worker_id].pid,
+                "pid": pid,
                 "hello": False,
                 "beats": 0,
                 "last_beat": None,
@@ -535,8 +299,8 @@ class ProcessPoolBackend(ShardBackend):
             }
 
     async def wait_ready(self, timeout: Optional[float] = None) -> bool:
-        """True once every worker has reported a healthy heartbeat."""
-        assert self._ready is not None, "backend not started"
+        """True once every worker has said hello and heartbeated."""
+        assert self._ready is not None, "router not started"
         try:
             await asyncio.wait_for(self._ready.wait(), timeout)
             return True
@@ -545,34 +309,36 @@ class ProcessPoolBackend(ShardBackend):
 
     async def drain(self) -> None:
         """Graceful shutdown: every accepted packet diagnosed, incidents
-        flushed (published to subscribers), workers exited via ``w_bye``."""
+        flushed (published to subscribers), workers ended via ``w_bye``."""
         self._draining = True
-        if self.pool is None:
+        if self.transport is None:
             return
         byes = [
             info["bye"] for info in self._workers.values()
             if info["alive"] and not info["bye"].done()
         ]
-        self.pool.broadcast(protocol.drain_all())
+        self.transport.broadcast(protocol.drain_all())
         if byes:
             await asyncio.wait(
                 byes, timeout=self.service.config.drain_timeout_s
             )
-        await asyncio.to_thread(self.pool.stop, 5.0)
+        await asyncio.to_thread(self.transport.stop, 5.0)
 
     async def abort(self) -> None:
+        """Shut down without draining (the fast test-teardown path)."""
         self._draining = True
-        if self.pool is not None:
-            await asyncio.to_thread(self.pool.terminate)
+        if self.transport is not None:
+            await asyncio.to_thread(self.transport.terminate)
 
     # -- dispatch path -------------------------------------------------
 
     def route(self, deployment: str) -> ShardRoute:
+        """The deployment's route, created (and assigned) on first use."""
         route = self.routes.get(deployment)
         if route is None:
             route = self.routes[deployment] = ShardRoute(deployment, self)
             if route.worker_id is not None:
-                self.pool.send(
+                self.transport.send(
                     route.worker_id,
                     protocol.assign(deployment, route.worker_id),
                 )
@@ -580,6 +346,7 @@ class ProcessPoolBackend(ShardBackend):
         return route
 
     def try_enqueue(self, deployment: str, packets, now: float) -> Tuple[bool, int]:
+        """Atomically accept or backpressure one batch → (accepted, queued)."""
         route = self.route(deployment)
         if route.worker_id is None:
             # The ring was empty at route creation (all workers dead);
@@ -598,7 +365,7 @@ class ProcessPoolBackend(ShardBackend):
         route.pending += len(packets)
         route.peak_pending = max(route.peak_pending, route.pending)
         route.counters.add_batch_accepted(len(packets))
-        self.pool.send(
+        self.transport.send(
             route.worker_id,
             protocol.shard_ingest(deployment, batch_id, packets),
         )
@@ -615,9 +382,10 @@ class ProcessPoolBackend(ShardBackend):
         if route is not None:
             route.subscribers.discard(outbox)
 
-    # -- pipe messages (reader thread -> event loop) -------------------
+    # -- worker messages -----------------------------------------------
 
     def _on_pipe_message(self, worker_id: str, message: dict) -> None:
+        """Pool reader thread -> event loop."""
         loop = self._loop
         if loop is None or loop.is_closed():
             return
@@ -679,13 +447,6 @@ class ProcessPoolBackend(ShardBackend):
         ):
             if mtype == "w_metrics":
                 self._dumps[worker_id] = message.get("dump") or {}
-                for shard in message.get("shards") or []:
-                    route = self.routes.get(shard.get("deployment"))
-                    if route is not None:
-                        route.session_counters = {
-                            k: v for k, v in shard.items()
-                            if k != "deployment"
-                        }
             request = self._requests.get(message.get("req"))
             if request is not None and worker_id in request["waiting"]:
                 request["waiting"].discard(worker_id)
@@ -733,12 +494,12 @@ class ProcessPoolBackend(ShardBackend):
             self._m_handoffs.inc()
             if new_worker is None:
                 continue  # no survivors: unacked kept, ingest backpressures
-            self.pool.send(
+            self.transport.send(
                 new_worker, protocol.assign(route.name, new_worker)
             )
             replayed = 0
             for batch_id, (packets, _t0) in route.unacked.items():
-                self.pool.send(
+                self.transport.send(
                     new_worker,
                     protocol.shard_ingest(route.name, batch_id, packets),
                 )
@@ -749,10 +510,11 @@ class ProcessPoolBackend(ShardBackend):
     # -- chaos / introspection -----------------------------------------
 
     def kill_worker(self, worker_id: str) -> None:
-        """SIGKILL one worker (the chaos hook CI's cluster job uses)."""
-        self.pool.kill(worker_id)
+        """SIGKILL one pool worker (the chaos hook CI's cluster job uses)."""
+        self.transport.kill(worker_id)
 
     def describe(self) -> dict:
+        """The ``/health`` backend section (worker ids/pids/liveness)."""
         return {
             "backend": self.name,
             "workers": [
@@ -767,6 +529,7 @@ class ProcessPoolBackend(ShardBackend):
         }
 
     def shard_snapshots(self) -> Dict[str, dict]:
+        """Per-deployment ``/metrics`` entries, as fresh as the last ack."""
         return {
             name: route.snapshot()
             for name, route in sorted(self.routes.items())
@@ -774,7 +537,19 @@ class ProcessPoolBackend(ShardBackend):
 
     # -- operator queries ----------------------------------------------
 
-    def _begin_request(self, alive: List[str]):
+    async def _ask(self, message_of: Callable[[int], dict],
+                   timeout: float) -> List[dict]:
+        """Send one query to every live worker; gather their replies.
+
+        Resolves early when every live worker answered (a worker that
+        dies meanwhile is pruned by :meth:`_on_worker_lost`); on timeout
+        it returns whatever arrived.
+        """
+        alive = [
+            wid for wid, info in self._workers.items() if info["alive"]
+        ]
+        if not alive or self._draining:
+            return []
         self._req_seq += 1
         req = self._req_seq
         request = {
@@ -783,152 +558,70 @@ class ProcessPoolBackend(ShardBackend):
             "future": self._loop.create_future(),
         }
         self._requests[req] = request
-        return req, request
-
-    async def _gather(self, request, timeout: float) -> dict:
-        try:
-            return await asyncio.wait_for(request["future"], timeout)
-        except asyncio.TimeoutError:
-            return request["replies"]
-
-    async def refresh(self, timeout: float = 5.0) -> None:
-        """Pull a fresh registry dump + session counters from every worker."""
-        alive = [
-            wid for wid, info in self._workers.items() if info["alive"]
-        ]
-        if not alive or self._draining:
-            return
-        req, request = self._begin_request(alive)
         try:
             for worker_id in alive:
-                self.pool.send(worker_id, protocol.metrics_query(req))
-            await self._gather(request, timeout)
+                self.transport.send(worker_id, message_of(req))
+            try:
+                await asyncio.wait_for(request["future"], timeout)
+            except asyncio.TimeoutError:
+                pass
         finally:
             self._requests.pop(req, None)
+        return list(request["replies"].values())
 
-    async def prometheus_text(self) -> str:
-        await self.refresh()
-        merged = merge_dumps(
+    async def merged_registry(self, timeout: float = 5.0):
+        """The front door's registry merged with a fresh dump from every
+        worker: what ``/metrics?format=prometheus`` and ``/api/series``
+        render."""
+        # Each w_metrics reply replaces that worker's entry in _dumps.
+        await self._ask(protocol.metrics_query, timeout)
+        return merge_dumps(
             [self.service.registry.dump()] + list(self._dumps.values())
         )
-        return merged.to_prometheus()
-
-    async def registry_snapshot(self) -> dict:
-        await self.refresh()
-        merged = merge_dumps(
-            [self.service.registry.dump()] + list(self._dumps.values())
-        )
-        return merged.snapshot()
-
-    async def node_summaries_doc(
-        self, deployment: Optional[str] = None, timeout: float = 5.0
-    ) -> Dict[str, list]:
-        alive = [
-            wid for wid, info in self._workers.items() if info["alive"]
-        ]
-        if not alive:
-            return {}
-        req, request = self._begin_request(alive)
-        try:
-            for worker_id in alive:
-                self.pool.send(
-                    worker_id, protocol.topology_query(req, deployment)
-                )
-            replies = await self._gather(request, timeout)
-        finally:
-            self._requests.pop(req, None)
-        out: Dict[str, list] = {}
-        for reply in replies.values():
-            out.update(reply.get("nodes") or {})
-        return dict(sorted(out.items()))
 
     async def incidents_doc(
         self, deployment: Optional[str] = None, timeout: float = 5.0
     ) -> dict:
-        alive = [
-            wid for wid, info in self._workers.items() if info["alive"]
-        ]
-        if not alive:
-            return {}
-        req, request = self._begin_request(alive)
-        try:
-            for worker_id in alive:
-                self.pool.send(
-                    worker_id, protocol.incidents_query(req, deployment)
-                )
-            replies = await self._gather(request, timeout)
-        finally:
-            self._requests.pop(req, None)
-        out: dict = {}
-        for reply in replies.values():
-            out.update(reply.get("incidents") or {})
-        return dict(sorted(out.items()))
+        """Deployment → open/closed incidents (the ``/incidents`` feed)."""
+        replies = await self._ask(
+            lambda req: protocol.incidents_query(req, deployment), timeout
+        )
+        return _merged(replies, "incidents")
+
+    async def node_summaries_doc(
+        self, deployment: Optional[str] = None, timeout: float = 5.0
+    ) -> Dict[str, list]:
+        """Deployment → per-node summary list (the ``/api/topology`` feed),
+        from each live session's
+        :meth:`~repro.core.streaming.StreamingDiagnosisSession.node_summaries`."""
+        replies = await self._ask(
+            lambda req: protocol.topology_query(req, deployment), timeout
+        )
+        return _merged(replies, "nodes")
 
     async def rotate_model(self, tool, timeout: float = 30.0) -> Dict[str, dict]:
-        """Broadcast ``model_update`` and gather per-shard boundaries.
+        """Atomically swap every live session to ``tool`` mid-stream.
 
-        Each worker's pipe is FIFO, so the update lands strictly between
-        two ingest batches on every shard it owns — the same no-split
-        guarantee the inproc sentinel gives.  ``service.tool`` is updated
-        too, keeping ``/health`` and future restarts consistent.
+        Broadcasts ``model_update``: each transport is FIFO, so the
+        update lands strictly between two ingest batches on every shard
+        — no batch is split across models, no event is dropped,
+        duplicated or reordered.  Returns deployment → rotation boundary
+        (``{"packets", "states"}``).  ``service.tool`` is updated too,
+        keeping ``/health`` and future restarts consistent.
         """
         self.service.tool = tool
-        alive = [
-            wid for wid, info in self._workers.items() if info["alive"]
-        ]
-        if not alive or self._draining:
-            return {}
-        req, request = self._begin_request(alive)
-        try:
-            version = tool.model_version
-            for worker_id in alive:
-                self.pool.send(
-                    worker_id, protocol.model_update(req, tool, version)
-                )
-            replies = await self._gather(request, timeout)
-        finally:
-            self._requests.pop(req, None)
-        boundaries: Dict[str, dict] = {}
-        for reply in replies.values():
-            boundaries.update(reply.get("boundaries") or {})
-        return dict(sorted(boundaries.items()))
+        replies = await self._ask(
+            lambda req: protocol.model_update(req, tool, tool.model_version),
+            timeout,
+        )
+        return _merged(replies, "boundaries")
 
     async def collect_refit_states(
         self, timeout: float = 10.0
     ) -> Tuple[Dict[str, object], Dict[str, float]]:
-        alive = [
-            wid for wid, info in self._workers.items() if info["alive"]
-        ]
-        if not alive or self._draining:
-            return {}, {}
-        req, request = self._begin_request(alive)
-        try:
-            for worker_id in alive:
-                self.pool.send(worker_id, protocol.states_query(req))
-            replies = await self._gather(request, timeout)
-        finally:
-            self._requests.pop(req, None)
-        states: Dict[str, object] = {}
-        drift: Dict[str, float] = {}
-        for reply in replies.values():
-            states.update(reply.get("states") or {})
-            drift.update(reply.get("drift") or {})
-        return states, drift
-
-
-def make_backend(service) -> ShardBackend:
-    """Pick a backend from the service config.
-
-    ``backend="auto"`` (the default) selects inproc for ``workers <= 1``
-    — keeping the single-worker server literally the PR 4 code path, the
-    differential anchor — and the process pool above that.  ``"pool"``
-    forces the pool even at one worker (the cluster tests' fixture).
-    """
-    config = service.config
-    choice = getattr(config, "backend", "auto")
-    workers = getattr(config, "workers", 0)
-    if choice == "inproc" or (choice == "auto" and workers <= 1):
-        return InprocBackend(service)
-    if choice in ("auto", "pool"):
-        return ProcessPoolBackend(service, max(1, workers))
-    raise ValueError(f"unknown backend {choice!r}")
+        """Drain retained exception states and drift scores per shard:
+        ``(states, drift)``, deployment → drained
+        :class:`~repro.core.states.StateMatrix` (omitted when empty) and
+        deployment → drift score."""
+        replies = await self._ask(protocol.states_query, timeout)
+        return _merged(replies, "states"), _merged(replies, "drift")

@@ -23,16 +23,14 @@ import numpy as np
 from repro.obs import LATENCY_BUCKETS, MetricsRegistry
 
 #: Keys of :meth:`StreamingDiagnosisSession.counters` — the session-side
-#: half of a shard snapshot.  The cluster backend seeds these to zero for
-#: a route whose worker has not acked a batch yet.
+#: half of a shard snapshot.  The router seeds these to zero for a route
+#: whose worker has not acked a batch yet.
 SESSION_COUNTER_KEYS = (
     "packets", "states", "exceptions",
     "incidents_open", "incidents_closed", "incidents_evicted",
 )
 
 #: Every integer key summed into the ``/metrics`` ``totals`` section.
-#: Shared by the inproc and pool backends so the JSON document keeps one
-#: shape regardless of where the shards execute.
 SHARD_TOTAL_KEYS = SESSION_COUNTER_KEYS + (
     "batches_accepted", "batches_rejected", "packets_accepted",
     "events_emitted", "queue_depth_packets",

@@ -13,7 +13,7 @@ process tree.  This module adds the online half of the model's life:
   process** (:class:`repro.runner.pool.ProcessPool`), so a refit never
   steals event-loop time from ingest.  The refitted model is then
   rotated into every live session through
-  :meth:`~repro.service.backends.ShardBackend.rotate_model`, whose
+  :meth:`~repro.service.backends.ShardRouter.rotate_model`, whose
   per-shard FIFO barrier guarantees no event is lost, duplicated or
   reordered across the swap.
 * Explicit rotation: ``POST /model {"path": ...}`` (and
@@ -125,7 +125,7 @@ class ModelManager:
         registry = service.registry
         self._m_rotations = registry.counter(
             "repro_service_model_rotations_total",
-            "Zero-downtime model rotations applied across the backend",
+            "Zero-downtime model rotations applied across the shard workers",
         )
         self._m_refits = registry.counter(
             "repro_service_refits_total",

@@ -284,12 +284,14 @@ def event_message(deployment: str, event) -> dict:
 
 
 # --------------------------------------------------------------------------
-# internal worker wire messages (cluster backend <-> shard workers)
+# internal worker wire messages (front door <-> shard workers)
 # --------------------------------------------------------------------------
 #
-# The multi-process backend speaks a second, *internal* protocol over the
-# worker pipes (:mod:`repro.runner.pool`).  These are pickled dicts, not
-# NDJSON — numpy value vectors and registry dumps ride through unchanged —
+# The front door speaks a second, *internal* protocol to its shard workers
+# (:mod:`repro.service.worker`), over the worker pipes
+# (:mod:`repro.runner.pool`) or handed over directly on the event loop.
+# These are dicts, not NDJSON — numpy value vectors and registry dumps
+# ride through unchanged (pickled on a pipe) —
 # but they keep the same ``type``-tagged envelope discipline so both wire
 # layers validate the same way.  Front door → worker types carry no
 # prefix; worker → front door types are ``w_``-prefixed so a message's

@@ -1,17 +1,17 @@
-"""The diagnosis sink server: a front-door router over a shard backend.
+"""The diagnosis sink server: a front door over shard workers.
 
 Architecture (the paper's sink, made multi-tenant and horizontally
 scalable):
 
-* The server owns the listeners and the wire contract; *where* a
+* The server owns the listeners and the wire contract.  Every
   deployment's :class:`~repro.core.streaming.StreamingDiagnosisSession`
-  runs is a :class:`~repro.service.backends.ShardBackend` decision:
-  in-process asyncio shards (the default, and the PR 4 architecture
-  verbatim) or a consistent-hash-routed pool of worker processes
-  (``ServiceConfig(workers=N)`` / ``vn2 serve --workers N``).  See
-  :mod:`repro.service.backends`.
-* Every named *deployment* still gets its own shard — a private session
-  fed in arrival order.  Shards share nothing but the fitted model
+  lives in a :class:`~repro.service.worker.ShardWorker`, which the
+  :class:`~repro.service.backends.ShardRouter` reaches either on the
+  server's own event loop (the default) or in a consistent-hash-routed
+  pool of worker processes (``ServiceConfig(workers=N)`` /
+  ``vn2 serve --workers N``).  See :mod:`repro.service.backends`.
+* Every named *deployment* gets its own shard — a private session fed
+  in arrival order.  Shards share nothing but the fitted model
   (read-only after training), so a hot deployment cannot stall
   another's diagnosis — its producers are backpressured instead.
 * Backpressure is explicit: when a batch would push a shard's queue past
@@ -20,14 +20,14 @@ scalable):
   batch is never partially queued.
 * Two listeners: a TCP NDJSON port for ingest/subscribe
   (:mod:`repro.service.protocol`) and a minimal HTTP port for operators
-  (``GET /health``, ``GET /metrics``, ``GET /incidents``; in cluster
-  mode ``/metrics?format=prometheus`` is the merged all-process scrape).
+  (``GET /health``, ``GET /metrics``, ``GET /incidents``;
+  ``/metrics?format=prometheus`` is the merged all-worker scrape).
 
 Determinism: one deployment's packets are processed in arrival order by
-one shard owner, through the same per-state NNLS path as
+one shard worker, through the same per-state NNLS path as
 :meth:`VN2.diagnose_stream`, so the served event stream for a trace
 replayed in canonical order is bit-identical to a local batch replay —
-in *both* backends (the cluster keeps per-deployment FIFO end to end).
+on *both* transports (each keeps per-deployment FIFO end to end).
 
 For synchronous callers (tests, benchmarks, examples) use
 :func:`start_service_thread`, which runs the event loop in a daemon
@@ -46,20 +46,15 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
 from repro.core.pipeline import VN2
-from repro.core.streaming import StreamingDiagnosisSession
 from repro.obs import MetricsRegistry
 from repro.service import protocol
-from repro.service.backends import ModelSwap
-from repro.service.metrics import (
-    LatencyWindow,
-    ShardCounters,
-    sum_shard_totals,
-)
+from repro.service.backends import ShardRouter
+from repro.service.metrics import sum_shard_totals
 
 #: Bytes allowed per NDJSON line (a MAX_BATCH ingest of 43 floats fits).
 _LINE_LIMIT = 1 << 24
 
-_STOP = object()  # queue sentinel: drain and exit the worker
+_STOP = object()  # outbox sentinel: flush and close the connection
 
 
 @dataclass
@@ -81,13 +76,10 @@ class ServiceConfig:
             long-lived sink should set this; ``None`` keeps all).
         positions: Optional node positions shared by all shards.
         latency_window: Ingest-latency samples retained per shard.
-        workers: Shard worker processes.  ``<= 1`` keeps shards in the
-            server process (:class:`~repro.service.backends.InprocBackend`);
-            ``>= 2`` runs them in a process pool.
-        backend: ``"auto"`` (pick from ``workers``), ``"inproc"``, or
-            ``"pool"`` (forces the pool even at one worker — the cluster
-            tests use this to exercise the pool path cheaply).
-        heartbeat_s: Worker heartbeat period (pool backend).
+        workers: Shard worker processes.  ``0`` hosts the one shard
+            worker on the server's event loop; ``N >= 1`` forks N worker
+            processes (see :mod:`repro.service.backends`).
+        heartbeat_s: Worker heartbeat period (worker processes).
         drain_timeout_s: Seconds a graceful drain waits for every worker
             to flush and say goodbye before hard-stopping the pool.
         keep_exception_states: Exception states each shard retains for
@@ -124,7 +116,6 @@ class ServiceConfig:
     positions: Optional[Dict[int, Tuple[float, float]]] = None
     latency_window: int = 4096
     workers: int = 0
-    backend: str = "auto"
     heartbeat_s: float = 0.5
     drain_timeout_s: float = 30.0
     keep_exception_states: int = 0
@@ -142,14 +133,8 @@ class ServiceConfig:
             raise ValueError(
                 f"retry_after_s must be > 0, got {self.retry_after_s}"
             )
-        if self.backend not in ("auto", "inproc", "pool"):
-            raise ValueError(
-                f"backend must be auto|inproc|pool, got {self.backend!r}"
-            )
-        if self.backend == "inproc" and self.workers > 1:
-            raise ValueError(
-                f"backend='inproc' cannot host workers={self.workers}"
-            )
+        if self.workers < 0:
+            raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.heartbeat_s <= 0:
             raise ValueError(
                 f"heartbeat_s must be > 0, got {self.heartbeat_s}"
@@ -188,135 +173,6 @@ class ServiceConfig:
             # A refit trigger without retained states would never have
             # anything to absorb; retain a bounded reservoir per shard.
             self.keep_exception_states = 4096
-
-
-class DeploymentShard:
-    """One deployment's session, queue and worker."""
-
-    def __init__(self, name: str, service: "DiagnosisService"):
-        self.name = name
-        self.service = service
-        config = service.config
-        labels = {"deployment": name}
-        self.session = StreamingDiagnosisSession(
-            service.tool,
-            positions=config.positions,
-            threshold_ratio=config.threshold_ratio,
-            max_epoch_gap=config.max_epoch_gap,
-            min_strength=config.min_strength,
-            time_gap_s=config.time_gap_s,
-            radius_m=config.radius_m,
-            max_closed_incidents=config.max_closed_incidents,
-            keep_exception_states=config.keep_exception_states,
-            registry=service.registry,
-            metric_labels={
-                **labels,
-                "model_version": service.tool.model_version,
-            },
-        )
-        self.queue: asyncio.Queue = asyncio.Queue()
-        self.pending = 0  #: packets queued but not yet diagnosed
-        self.peak_pending = 0
-        self.counters = ShardCounters(
-            latency=LatencyWindow(config.latency_window),
-            registry=service.registry,
-            labels=labels,
-        )
-        self.subscribers: Set[asyncio.Queue] = set()
-        ref = weakref.ref(self)
-        service.registry.gauge(
-            "repro_service_queue_depth_packets",
-            "Packets queued but not yet diagnosed",
-            labels,
-            fn=lambda: float(ref().pending) if ref() is not None else 0.0,
-        )
-        service.registry.gauge(
-            "repro_service_subscribers",
-            "Live event subscribers of this deployment",
-            labels,
-            fn=lambda: float(len(ref().subscribers)) if ref() is not None else 0.0,
-        )
-        self._resume = asyncio.Event()
-        self._resume.set()
-        self.worker = asyncio.get_running_loop().create_task(
-            self._run(), name=f"shard:{name}"
-        )
-
-    # -- test/benchmark hook: freeze the worker to observe backpressure --
-
-    def pause(self) -> None:
-        """Stop draining the queue (packets keep queueing up)."""
-        self._resume.clear()
-
-    def unpause(self) -> None:
-        self._resume.set()
-
-    # ------------------------------------------------------------------
-
-    def try_enqueue(self, packets, now: float) -> bool:
-        """Queue a batch atomically; False = backpressure (nothing queued)."""
-        if self.pending + len(packets) > self.service.config.queue_size:
-            self.counters.add_batch_rejected()
-            return False
-        self.pending += len(packets)
-        self.peak_pending = max(self.peak_pending, self.pending)
-        self.counters.add_batch_accepted(len(packets))
-        self.queue.put_nowait((packets, now))
-        return True
-
-    def publish(self, events) -> None:
-        """Fan one shard's incident events out to its subscribers."""
-        if not events:
-            return
-        self.counters.add_events_emitted(len(events))
-        if not self.subscribers:
-            return
-        messages = [protocol.event_message(self.name, e) for e in events]
-        for outbox in self.subscribers:
-            for message in messages:
-                outbox.put_nowait(message)
-
-    async def _run(self) -> None:
-        while True:
-            item = await self.queue.get()
-            if item is _STOP:
-                return
-            if isinstance(item, ModelSwap):
-                # Rotation rides the same FIFO queue as packet batches,
-                # so it lands strictly between two batches — no batch is
-                # ever split across models.
-                boundary = self.session.set_model(item.tool)
-                if not item.future.done():
-                    item.future.set_result(boundary)
-                continue
-            await self._resume.wait()
-            packets, enqueued_at = item
-            for packet in packets:
-                update = self.session.push_packet(*packet)
-                self.pending -= 1
-                if update is not None and update.events:
-                    self.publish(update.events)
-            self.counters.observe_latency(time.monotonic() - enqueued_at)
-            # One batch per loop tick: keep sibling shards and the
-            # listeners responsive under a sustained ingest burst.
-            await asyncio.sleep(0)
-
-    async def drain(self) -> None:
-        """Process everything queued, then flush open incidents."""
-        self.queue.put_nowait(_STOP)
-        self._resume.set()
-        await self.worker
-        self.publish(self.session.finish())
-
-    def snapshot(self) -> dict:
-        """The ``/metrics`` entry for this shard."""
-        return {
-            **self.session.counters(),
-            **self.counters.snapshot(),
-            "queue_depth_packets": self.pending,
-            "queue_peak_packets": self.peak_pending,
-            "subscribers": len(self.subscribers),
-        }
 
 
 class _Connection:
@@ -384,17 +240,16 @@ class DiagnosisService:
         tool._require_fitted()
         self.tool = tool
         self.config = config or ServiceConfig()
-        #: Service-private metrics registry: every shard's session,
-        #: tracker and ingest counters report here with a
-        #: ``deployment`` label, independent of the process default.
-        #: (Pool workers keep their own registries; the merged scrape is
-        #: rendered by the backend via :func:`repro.obs.merge_dumps`.)
+        #: Front-door metrics registry: per-deployment ingest counters
+        #: and service gauges, independent of the process default.
+        #: (Shard workers keep their own registries; the merged scrape is
+        #: rendered by the router via :func:`repro.obs.merge_dumps`.)
         self.registry = MetricsRegistry(enabled=True)
-        from repro.service.backends import make_backend
         from repro.service.models import ModelManager
 
-        #: Where shards execute; see :mod:`repro.service.backends`.
-        self.backend = make_backend(self)
+        #: Routes deployments to shard workers; see
+        #: :mod:`repro.service.backends`.
+        self.backend = ShardRouter(self)
         #: Online model lifecycle: drift-triggered refits + rotation.
         self.models = ModelManager(self)
         #: SSE fan-out for the live dashboard; ``None`` when disabled —
@@ -437,21 +292,11 @@ class DiagnosisService:
     # lifecycle
     # ------------------------------------------------------------------
 
-    @property
-    def shards(self) -> Dict[str, "DeploymentShard"]:
-        """The inproc backend's shard table (empty in cluster mode).
-
-        Kept as the compatibility surface tests and benchmarks poke
-        (``service.shards["name"].pause()`` …); cluster-mode callers use
-        :meth:`metrics_snapshot` / ``backend.describe()`` instead.
-        """
-        return getattr(self.backend, "shards", {})
-
     async def start(self) -> None:
-        """Start the shard backend, then bind both listeners; resolves
+        """Start the shard workers, then bind both listeners; resolves
         :attr:`port` / :attr:`http_port`.  Workers spawn before the
         listeners accept traffic (readiness is gated separately — see
-        :meth:`~repro.service.backends.ShardBackend.wait_ready`)."""
+        :meth:`~repro.service.backends.ShardRouter.wait_ready`)."""
         config = self.config
         await self.backend.start()
         self._tcp_server = await asyncio.start_server(
@@ -505,14 +350,6 @@ class DiagnosisService:
         hub subscribe before the deployment's first events publish."""
         if self.dashboard is not None:
             self.dashboard.on_deployment(deployment)
-
-    def shard(self, deployment: str) -> DeploymentShard:
-        """The inproc shard for a deployment, created on first use.
-
-        Only meaningful on the inproc backend (raises otherwise); the
-        dispatch path goes through ``self.backend`` and works on both.
-        """
-        return self.backend.shard(deployment)
 
     # ------------------------------------------------------------------
     # TCP: ingest + subscribe
@@ -581,11 +418,9 @@ class DiagnosisService:
     def metrics_snapshot(self) -> dict:
         """The ``GET /metrics`` document.
 
-        Synchronous by contract (tests call it via ``run_sync``): it
-        renders the backend's current view.  In cluster mode the
-        session-side counters are as fresh as the latest worker ack —
-        the HTTP handler awaits ``backend.refresh()`` first to tighten
-        that to "right now".
+        Synchronous by contract (tests call it via ``run_sync``): the
+        session-side counters are those the latest worker ack (or
+        drain) carried, on either transport — no worker round trip.
         """
         per_shard = self.backend.shard_snapshots()
         totals = sum_shard_totals(per_shard)
@@ -605,25 +440,6 @@ class DiagnosisService:
             "totals": totals,
             "deployments": per_shard,
         }
-
-    def incidents_snapshot(self, deployment: Optional[str] = None) -> dict:
-        """The ``GET /incidents`` document (open + retained closed).
-
-        Synchronous inproc path; cluster mode answers over the worker
-        pipes, so the HTTP handler awaits ``backend.incidents_doc``
-        (this method then reports the shards this process hosts: none).
-        """
-        from repro.service.backends import _tracker_doc
-
-        out = {}
-        names = (
-            [deployment] if deployment is not None else sorted(self.shards)
-        )
-        for name in names:
-            shard = self.shards.get(name)
-            if shard is not None:
-                out[name] = _tracker_doc(shard.session.tracker)
-        return {"deployments": out}
 
     def health_snapshot(self) -> dict:
         """The ``GET /health`` document."""
@@ -648,10 +464,9 @@ class DiagnosisService:
     async def topology_doc(self, deployment: Optional[str] = None) -> dict:
         """The ``GET /api/topology`` document (cluster-aware).
 
-        Per-node summaries and incident docs come from the backend —
-        inproc reads its shards directly; the pool queries every worker
-        over the pipes and merges (one deployment lives on exactly one
-        worker, so the merge never collides).  Shape is validated by
+        Per-node summaries and incident docs come from the router, which
+        queries every worker and merges (one deployment lives on exactly
+        one worker, so the merge never collides).  Shape is validated by
         :func:`repro.dashboard.topology.validate_topology_doc`.
         """
         from repro.dashboard.topology import assemble_topology, model_doc
@@ -733,13 +548,10 @@ class DiagnosisService:
                 self._http_reply(writer, 200, self.models.doc())
             elif path == "/metrics":
                 if params.get("format") == "prometheus":
-                    # Inproc: this process's registry.  Cluster: the
-                    # merged rollup across the front door + every worker.
-                    self._http_reply_text(
-                        writer, 200, await self.backend.prometheus_text()
-                    )
+                    # The merged rollup: front door + every worker.
+                    merged = await self.backend.merged_registry()
+                    self._http_reply_text(writer, 200, merged.to_prometheus())
                 else:
-                    await self.backend.refresh()
                     self._http_reply(writer, 200, self.metrics_snapshot())
             elif path == "/incidents":
                 doc = await self.backend.incidents_doc(
@@ -767,9 +579,9 @@ class DiagnosisService:
                     )
                     self._http_reply(writer, 200, doc)
                 elif path == "/api/series":
+                    merged = await self.backend.merged_registry()
                     self._http_reply(writer, 200, {
-                        "ts": time.time(),
-                        "metrics": await self.backend.registry_snapshot(),
+                        "ts": time.time(), "metrics": merged.snapshot(),
                     })
                 else:
                     # The one streaming route: _serve_sse owns the socket
@@ -1003,8 +815,8 @@ def start_service_thread(
     ready_timeout_s: float = 30.0,
 ) -> ServiceHandle:
     """Start a :class:`DiagnosisService` on a daemon thread; block until
-    its ports are bound **and** its backend reports ready (inproc:
-    immediate; pool: every worker heartbeating).  The returned handle is
+    its ports are bound **and** every shard worker reports ready (on
+    the loop: its first tick; processes: every worker heartbeating).  The returned handle is
     a context manager."""
     service = DiagnosisService(tool, config)
     started = threading.Event()

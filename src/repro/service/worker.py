@@ -1,51 +1,59 @@
-"""Shard worker process: the cluster backend's unit of parallelism.
+"""Shard worker: the one place a deployment's diagnosis session lives.
 
-:func:`worker_main` is the top-level target each
-:class:`repro.runner.pool.ProcessPool` child runs.  A worker owns a set
-of deployment shards — each a private
-:class:`~repro.core.streaming.StreamingDiagnosisSession` — and converses
-with the front door over its pipe using the internal worker messages of
-:mod:`repro.service.protocol`:
+A :class:`ShardWorker` owns a set of deployment shards — each a private
+:class:`~repro.core.streaming.StreamingDiagnosisSession` — and answers
+the internal worker messages of :mod:`repro.service.protocol` through
+:meth:`ShardWorker.handle`.  It runs behind one of two transports, both
+driven by :class:`~repro.service.backends.ShardRouter`:
+
+* :class:`LoopTransport` — one worker (``w0``) on the front door's own
+  event loop (``workers=0``, the default);
+* :func:`worker_main` — the pipe loop each
+  :class:`repro.runner.pool.ProcessPool` child runs (``workers=N``).
+
+The messages:
 
 * ``ingest`` batches arrive **already parsed** (the front door validated
   them once); the worker pushes every packet through its session and
   answers ``w_ack`` carrying the incident-event objects the batch
-  emitted, in emission order.  The pipe is FIFO both ways, so one
-  deployment's events reach the front door in exactly the order its
-  session produced them — the cluster's per-deployment ordering
-  guarantee needs nothing more.
+  emitted, in emission order, plus the session counters.  Both
+  transports are FIFO both ways, so one deployment's events reach the
+  front door in exactly the order its session produced them — the
+  per-deployment ordering guarantee needs nothing more.
 * ``drain`` flushes one shard (shard handoff / rebalance); ``drain_all``
-  flushes everything, ships the worker's metrics-registry dump and span
-  trees in ``w_bye``, and exits — the graceful-SIGTERM path.
+  flushes everything, ships the worker's metrics-registry dump in
+  ``w_bye``, and ends the transport — the graceful-SIGTERM path.
 * Heartbeats go up whenever the pipe has been idle for a beat, so the
   front door can gate readiness (``--ready-file``) and notice wedged
   workers without extra machinery.
 
-Sessions are created lazily on first ingest.  That makes worker-death
+Sessions are created lazily on first use.  That makes worker-death
 handoff trivially robust: the surviving worker that inherits a
 deployment needs no setup message — the first replayed batch
 materializes a fresh session.  Each session stamps its metrics with
-``{"deployment", "worker"}`` labels so the merged cluster rollup never
+``{"deployment", "worker"}`` labels so the merged rollup never
 collapses two workers' series (and a handed-off deployment's history
 stays attributed to the worker that produced it).
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
 import time
+import traceback
 from typing import Dict, Optional
 
 from repro.obs import MetricsRegistry
 from repro.service import protocol
 
-__all__ = ["ShardWorker", "worker_main"]
+__all__ = ["LoopTransport", "ShardWorker", "worker_main"]
 
 #: Default seconds of pipe idleness between heartbeats.
 HEARTBEAT_S = 0.5
 
-#: Session-construction knobs :func:`worker_main` forwards from its
-#: ``options`` dict (the backend fills them from :class:`ServiceConfig`).
+#: Session-construction knobs a :class:`ShardWorker` forwards from its
+#: ``options`` dict (the router fills them from ``ServiceConfig``).
 SESSION_OPTION_KEYS = (
     "positions", "threshold_ratio", "max_epoch_gap", "min_strength",
     "time_gap_s", "radius_m", "max_closed_incidents",
@@ -53,8 +61,20 @@ SESSION_OPTION_KEYS = (
 )
 
 
+def _tracker_doc(tracker) -> dict:
+    """One deployment's ``/incidents`` entry."""
+    return {
+        "open": [
+            protocol.incident_obj(i) for i in tracker.open_incidents()
+        ],
+        "closed": [protocol.incident_obj(i) for i in tracker.incidents],
+        "closed_total": tracker.n_closed_total,
+        "evicted": tracker.n_evicted,
+    }
+
+
 class ShardWorker:
-    """The in-child state machine (separate from the pipe loop for tests).
+    """The shard state machine, independent of its transport.
 
     Args:
         worker_id: Pool-assigned id (``w0``…); becomes the ``worker``
@@ -96,7 +116,7 @@ class ShardWorker:
             self.sessions[deployment] = session
         return session
 
-    # -- message handlers (each returns the reply message or None) -----
+    # -- message handlers (each returns its reply, a list, or None) ----
 
     def handle_assign(self, msg: dict) -> None:
         # Routing is the front door's job; materializing the session now
@@ -128,11 +148,14 @@ class ShardWorker:
         events = [protocol.incident_event_obj(e) for e in session.finish()]
         return protocol.worker_drained(deployment, events, session.counters())
 
-    def drain_all(self):
-        """Flush every shard; yield the ``w_drained`` messages then ``w_bye``."""
-        for deployment in sorted(self.sessions):
-            yield self.handle_drain({"deployment": deployment})
-        yield protocol.worker_bye(self.worker_id, self.registry.dump())
+    def handle_drain_all(self, msg: dict) -> list:
+        """Flush every shard: the ``w_drained`` messages, then ``w_bye``."""
+        replies = [
+            self.handle_drain({"deployment": deployment})
+            for deployment in sorted(self.sessions)
+        ]
+        replies.append(protocol.worker_bye(self.worker_id, self.registry.dump()))
+        return replies
 
     def handle_metrics_query(self, msg: dict) -> dict:
         shards = [
@@ -149,19 +172,8 @@ class ShardWorker:
         out = {}
         for name in names:
             session = self.sessions.get(name)
-            if session is None:
-                continue
-            tracker = session.tracker
-            out[name] = {
-                "open": [
-                    protocol.incident_obj(i) for i in tracker.open_incidents()
-                ],
-                "closed": [
-                    protocol.incident_obj(i) for i in tracker.incidents
-                ],
-                "closed_total": tracker.n_closed_total,
-                "evicted": tracker.n_evicted,
-            }
+            if session is not None:
+                out[name] = _tracker_doc(session.tracker)
         return protocol.worker_incidents(msg["req"], self.worker_id, out)
 
     def handle_topology_query(self, msg: dict) -> dict:
@@ -212,6 +224,33 @@ class ShardWorker:
             len(self.sessions), self.n_packets,
         )
 
+    def handle(self, msg: dict) -> list:
+        """Answer one front-door message: its replies, in send order.
+
+        Dispatches to ``handle_<type>``, looked up on the class at call
+        time.  A failing handler is answered with ``w_error`` so the
+        worker keeps serving its other shards; a malformed or upstream
+        message raises :class:`~repro.service.protocol.ProtocolError`.
+        """
+        mtype = protocol.check_worker_message(msg)
+        if mtype not in protocol.WORKER_DOWN_TYPES:
+            raise protocol.ProtocolError(
+                "bad_type", f"unexpected downstream {mtype!r}"
+            )
+        try:
+            reply = getattr(self, f"handle_{mtype}")(msg)
+        except Exception as exc:
+            traceback.print_exc()
+            return [
+                protocol.worker_error(
+                    self.worker_id, f"{type(exc).__name__}: {exc}",
+                    msg.get("deployment"),
+                )
+            ]
+        if reply is None:
+            return []
+        return reply if isinstance(reply, list) else [reply]
+
 
 def worker_main(conn, worker_id: str, tool, options: Optional[dict] = None) -> None:
     """Child-process entry point: pipe loop around a :class:`ShardWorker`.
@@ -229,44 +268,10 @@ def worker_main(conn, worker_id: str, tool, options: Optional[dict] = None) -> N
                 conn.send(state.heartbeat())
                 continue
             msg = conn.recv()
-            mtype = protocol.check_worker_message(msg)
-            try:
-                if mtype == "ingest":
-                    conn.send(state.handle_ingest(msg))
-                elif mtype == "assign":
-                    state.handle_assign(msg)
-                elif mtype == "drain":
-                    conn.send(state.handle_drain(msg))
-                elif mtype == "drain_all":
-                    for reply in state.drain_all():
-                        conn.send(reply)
-                    return
-                elif mtype == "metrics_query":
-                    conn.send(state.handle_metrics_query(msg))
-                elif mtype == "incidents_query":
-                    conn.send(state.handle_incidents_query(msg))
-                elif mtype == "model_update":
-                    conn.send(state.handle_model_update(msg))
-                elif mtype == "states_query":
-                    conn.send(state.handle_states_query(msg))
-                elif mtype == "topology_query":
-                    conn.send(state.handle_topology_query(msg))
-                else:  # an "up" type arriving downstream = version drift
-                    raise protocol.ProtocolError(
-                        "bad_type", f"unexpected downstream {mtype!r}"
-                    )
-            except protocol.ProtocolError:
-                raise
-            except Exception as exc:  # keep serving other shards
-                import traceback
-
-                traceback.print_exc()
-                conn.send(
-                    protocol.worker_error(
-                        worker_id, f"{type(exc).__name__}: {exc}",
-                        msg.get("deployment"),
-                    )
-                )
+            for reply in state.handle(msg):
+                conn.send(reply)
+            if msg["type"] == "drain_all":
+                return
     except (EOFError, OSError, BrokenPipeError, KeyboardInterrupt):
         return
     finally:
@@ -274,3 +279,81 @@ def worker_main(conn, worker_id: str, tool, options: Optional[dict] = None) -> N
             conn.close()
         except OSError:
             pass
+
+
+#: Messages the in-loop transport queues behind earlier ones: those whose
+#: effect depends on where they fall in a deployment's packet stream.
+ORDERED_TYPES = frozenset({"ingest", "drain", "drain_all", "model_update"})
+
+
+class LoopTransport:
+    """One :class:`ShardWorker` (``w0``) on the front door's event loop.
+
+    Offers the :class:`repro.runner.pool.ProcessPool` methods the router
+    calls, and hands every reply straight to ``on_message`` on the loop.
+    Order-sensitive messages (:data:`ORDERED_TYPES`) wait in one FIFO
+    consumed one message per loop tick — a model rotation stays a
+    barrier between two batches, and the listeners stay responsive under
+    an ingest burst.  Queries are answered at once, so ``/incidents`` and
+    scrapes never wait behind a backlog.
+    """
+
+    def __init__(self, tool, options: Optional[dict], on_message):
+        self.worker = ShardWorker("w0", tool, options)
+        self._on_message = on_message
+        self._fifo: Optional[asyncio.Queue] = None
+        self._resume: Optional[asyncio.Event] = None
+        self._task: Optional[asyncio.Task] = None
+
+    def start(self) -> None:
+        self._fifo = asyncio.Queue()
+        self._resume = asyncio.Event()
+        self._resume.set()
+        self._task = asyncio.get_running_loop().create_task(
+            self._run(), name="shard-worker:w0"
+        )
+
+    def pids(self) -> Dict[str, int]:
+        return {"w0": os.getpid()}
+
+    def send(self, worker_id: str, message: dict) -> None:
+        if message["type"] in ORDERED_TYPES:
+            self._fifo.put_nowait(message)
+        else:
+            self._deliver(message)
+
+    def broadcast(self, message: dict) -> None:
+        self.send("w0", message)
+
+    def _deliver(self, message: dict) -> None:
+        for reply in self.worker.handle(message):
+            self._on_message("w0", reply)
+
+    async def _run(self) -> None:
+        self._on_message("w0", protocol.worker_hello("w0", os.getpid()))
+        self._on_message("w0", self.worker.heartbeat())
+        while True:
+            message = await self._fifo.get()
+            await self._resume.wait()
+            self._deliver(message)
+            if message["type"] == "drain_all":
+                return
+            await asyncio.sleep(0)
+
+    # -- test hook: freeze the worker to observe backpressure ----------
+
+    def pause(self) -> None:
+        """Stop consuming the FIFO (batches keep queueing up)."""
+        self._resume.clear()
+
+    def unpause(self) -> None:
+        self._resume.set()
+
+    # -- lifecycle (callable from any thread, like the pool's) ---------
+
+    def stop(self, timeout: Optional[float] = None) -> None:
+        task = self._task
+        if task is not None and not task.done():
+            task.get_loop().call_soon_threadsafe(task.cancel)
+
+    terminate = stop

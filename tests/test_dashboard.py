@@ -537,7 +537,7 @@ def test_slow_sse_consumer_evicted_ingest_unaffected(
 
 def test_cluster_topology_merges_workers(testbed_tool, test_frame):
     with _start(
-        testbed_tool, dashboard=True, workers=2, backend="pool"
+        testbed_tool, dashboard=True, workers=2
     ) as handle:
         with ServiceClient("127.0.0.1", handle.port) as client:
             replay_trace(client, "alpha", test_frame)

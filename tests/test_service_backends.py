@@ -215,7 +215,7 @@ def test_shard_worker_queries_and_bye(worker_state):
     assert set(incidents["incidents"]) == {"a", "b"}
     only_a = state.handle_incidents_query(protocol.incidents_query(3, "a"))
     assert set(only_a["incidents"]) == {"a"}
-    replies = list(state.drain_all())
+    replies = state.handle(protocol.drain_all())
     assert [r["type"] for r in replies] == ["w_drained", "w_drained", "w_bye"]
     assert replies[0]["deployment"] == "a"  # deterministic drain order
     assert replies[-1]["worker"] == "w9"

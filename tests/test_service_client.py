@@ -261,7 +261,9 @@ def test_async_client_submits_and_streams_events(testbed_tool, small_frame):
         # early event can slip past.
         for _ in range(500):
             n = handle.run_sync(
-                lambda: len(handle.service.shard("async-dep").subscribers)
+                lambda: len(
+                    handle.service.backend.route("async-dep").subscribers
+                )
             )
             if n:
                 break

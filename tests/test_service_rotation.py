@@ -2,13 +2,13 @@
 
 The acceptance criteria of the model-lifecycle PR live here:
 
-* **Inproc differential**: rotating a served model mid-stream through
+* **Differential**: rotating a served model mid-stream through
   ``POST /model`` produces the exact event stream of a local
   :class:`~repro.core.streaming.StreamingDiagnosisSession` replay that
   calls :meth:`set_model` at the same packet boundary — no dropped,
-  duplicated or reordered incident events across the swap.
-* **Pool differential**: the same holds with three worker processes,
-  every deployment swapping at the same boundary.
+  duplicated or reordered incident events across the swap.  It holds
+  with the shard worker on the event loop and with three worker
+  processes, every deployment swapping at the same boundary.
 * **Chaos**: SIGKILL one worker and rotate while its death is still
   being noticed.  The rotation must complete (the gather resolves when
   the dead worker is pruned), deployments on surviving workers stay
@@ -142,8 +142,9 @@ def _submit(client, names, packets) -> None:
             client.submit(name, batch)
 
 
-def test_inproc_rotation_matches_set_model_replay(
-    testbed_tool, tool_b, model_b_path, testbed_frame
+@pytest.mark.parametrize("workers", [0, 3])
+def test_rotation_matches_set_model_replay(
+    workers, testbed_tool, tool_b, model_b_path, testbed_frame
 ):
     packets = list(iter_packets(testbed_frame))
     half = len(packets) // 2
@@ -155,44 +156,12 @@ def test_inproc_rotation_matches_set_model_replay(
         testbed_tool, testbed_tool, packets, half
     )
 
-    config = ServiceConfig(port=0, http_port=0)
-    with start_service_thread(testbed_tool, config) as handle:
-        subscriber = _Subscriber(handle.port, "testbed")
-        with ServiceClient(port=handle.port) as client:
-            _submit(client, "testbed", packets[:half])
-            _wait_drained(handle)
+    # One deployment per shard worker (w0 alone on the event loop).
+    worker_ids = [f"w{i}" for i in range(max(workers, 1))]
+    placed = _deployments_per_worker(len(worker_ids), 1)
+    names = [placed[worker_id][0] for worker_id in worker_ids]
 
-            result = http_post_json(
-                handle.host, handle.http_port, "/model",
-                {"path": model_b_path},
-            )
-            assert result["model_version"] == tool_b.model_version
-            assert result["previous"] == testbed_tool.model_version
-            assert result["boundaries"]["testbed"]["packets"] == half
-
-            health = http_get_json(handle.host, handle.http_port, "/health")
-            assert health["model_version"] == tool_b.model_version
-
-            _submit(client, "testbed", packets[half:])
-        handle.stop(drain=True)
-    subscriber.join(timeout=10.0)
-
-    # Bit-identical across the live swap: nothing dropped, duplicated
-    # or reordered.
-    assert subscriber.events == reference
-
-
-def test_pool_rotation_differential_three_workers(
-    testbed_tool, tool_b, model_b_path, testbed_frame
-):
-    packets = list(iter_packets(testbed_frame))
-    half = len(packets) // 2
-    reference = _rotated_reference(testbed_tool, tool_b, packets, half)
-
-    placed = _deployments_per_worker(3, 1)
-    names = [placed[f"w{i}"][0] for i in range(3)]
-
-    config = ServiceConfig(port=0, http_port=0, workers=3, backend="pool",
+    config = ServiceConfig(port=0, http_port=0, workers=workers,
                            heartbeat_s=0.1)
     with start_service_thread(testbed_tool, config) as handle:
         subs = {name: _Subscriber(handle.port, name) for name in names}
@@ -204,24 +173,29 @@ def test_pool_rotation_differential_three_workers(
                 handle.host, handle.http_port, "/model",
                 {"path": model_b_path},
             )
+            assert result["model_version"] == tool_b.model_version
+            assert result["previous"] == testbed_tool.model_version
             # every deployment on every worker swapped at the same
             # packet boundary
             for name in names:
                 assert result["boundaries"][name]["packets"] == half
+
+            health = http_get_json(handle.host, handle.http_port, "/health")
+            assert health["model_version"] == tool_b.model_version
 
             _submit(client, names, packets[half:])
         _wait_drained(handle)
 
         doc = http_get_json(handle.host, handle.http_port, "/metrics")
         workers_used = {doc["deployments"][n]["worker"] for n in names}
-        assert workers_used == {"w0", "w1", "w2"}
+        assert workers_used == set(worker_ids)
 
         handle.stop(drain=True)
     for sub in subs.values():
         sub.join(timeout=10.0)
 
-    # Three deployments on three processes, one mid-stream swap each:
-    # three bit-exact copies of the rotated reference stream.
+    # Bit-identical across the live swap — nothing dropped, duplicated
+    # or reordered — on every deployment, whichever transport hosts it.
     for name in names:
         assert subs[name].events == reference
 
@@ -238,8 +212,7 @@ def test_rotation_with_worker_kill_no_loss_no_bleed(
     stable = [placed["w1"][0], placed["w2"][0]]
     names = [chaos] + stable
 
-    config = ServiceConfig(port=0, http_port=0, workers=3, backend="pool",
-                           heartbeat_s=0.1)
+    config = ServiceConfig(port=0, http_port=0, workers=3, heartbeat_s=0.1)
     with start_service_thread(testbed_tool, config) as handle:
         backend = handle.service.backend
         subs = {name: _Subscriber(handle.port, name) for name in names}

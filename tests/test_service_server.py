@@ -5,7 +5,10 @@ The acceptance criteria of the service PR live here:
 * **Differential**: a trace replayed through the server for one
   deployment produces the exact same incident-event objects — bit-
   identical strengths — as :meth:`VN2.diagnose_stream` on the same trace
-  (the drain flush included).
+  (the drain flush included), whether the shard worker runs on the
+  server's event loop (``workers=0``) or in one forked process
+  (``workers=1``); both transports also serve the same ``/incidents``
+  and ``/api/topology`` node summaries.
 * **Sharding**: two deployments fed interleaved batches diagnose
   concurrently without cross-talk; each matches its own solo replay.
 * **Backpressure**: a full queue yields explicit ``retry_after`` acks
@@ -72,23 +75,52 @@ def testbed_frame(testbed_trace):
     return as_frame(testbed_trace)
 
 
-def test_served_events_match_local_replay(testbed_tool, testbed_frame):
+#: workers -> (/incidents, /api/topology node summaries) of the served
+#: differential, compared across transports.
+_SERVED_DOCS = {}
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_served_events_match_local_replay(workers, testbed_tool,
+                                          testbed_frame):
     reference = _reference_events(testbed_tool, testbed_frame)
     assert reference, "testbed replay produced no incident events"
 
-    with start_service_thread(
-        testbed_tool, ServiceConfig(port=0, http_port=0)
-    ) as handle:
+    config = ServiceConfig(port=0, http_port=0, workers=workers,
+                           heartbeat_s=0.1, dashboard=True)
+    with start_service_thread(testbed_tool, config) as handle:
+        health = http_get_json(handle.host, handle.http_port, "/health")
+        assert health["backend"] == ("pool" if workers else "inproc")
+        assert [w["id"] for w in health["workers"]] == ["w0"]
+        assert all(w["alive"] for w in health["workers"])
+
         subscriber = _Subscriber(handle.port, "testbed")
         with ServiceClient(port=handle.port) as client:
             report = replay_trace(client, "testbed", testbed_frame,
                                   batch_size=256)
         assert report.packets_sent == len(testbed_frame)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            metrics = http_get_json(handle.host, handle.http_port,
+                                    "/metrics")
+            if metrics["totals"]["packets"] == len(testbed_frame):
+                break
+            time.sleep(0.02)
+        incidents = http_get_json(handle.host, handle.http_port,
+                                  "/incidents")
+        topology = http_get_json(handle.host, handle.http_port,
+                                 "/api/topology")
+        nodes = topology["deployments"]["testbed"]["nodes"]
         handle.stop(drain=True)  # drain flush-closes open incidents
     subscriber.join(timeout=10.0)
 
     # Bit-identical: same events, same order, same float strengths.
     assert subscriber.events == reference
+    # Both transports serve the same operator documents.
+    assert incidents["deployments"]["testbed"]["closed_total"] > 0
+    _SERVED_DOCS[workers] = (incidents, nodes)
+    for other in _SERVED_DOCS.values():
+        assert other == (incidents, nodes)
 
 
 def test_two_deployments_diagnose_without_crosstalk(testbed_tool, testbed_frame):
@@ -137,10 +169,12 @@ def test_backpressure_acks_and_sdk_retry_drop_nothing(testbed_tool, testbed_fram
         # can only fill up.
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            if handle.run_sync(lambda: handle.service.shards["bp"].pending) == 0:
+            if handle.run_sync(
+                lambda: handle.service.backend.routes["bp"].pending
+            ) == 0:
                 break
             time.sleep(0.01)
-        handle.run_sync(lambda: handle.service.shards["bp"].pause())
+        handle.run_sync(lambda: handle.service.backend.transport.pause())
 
         # Fill the queue with raw ingests until the explicit rejection.
         rejected = None
@@ -171,23 +205,20 @@ def test_backpressure_acks_and_sdk_retry_drop_nothing(testbed_tool, testbed_fram
         submitter = threading.Thread(target=_submit)
         submitter.start()
         time.sleep(0.15)  # let it hit backpressure at least once
-        handle.run_sync(lambda: handle.service.shards["bp"].unpause())
+        handle.run_sync(lambda: handle.service.backend.transport.unpause())
         submitter.join(timeout=10.0)
         result = outcome["result"]
         assert result.accepted == 32
         assert result.backpressure_retries >= 1
 
         # Drain and account for every accepted packet.
-        handle.call(handle.service.shards["bp"].drain)
-        snapshot = handle.run_sync(
-            lambda: handle.service.shards["bp"].snapshot()
-        )
+        handle.stop(drain=True)
+        snapshot = handle.service.metrics_snapshot()["deployments"]["bp"]
         assert snapshot["packets"] == snapshot["packets_accepted"]
         assert snapshot["batches_rejected"] >= 1
         assert snapshot["queue_depth_packets"] == 0
         probe.close()
         sdk.close()
-        handle.stop(drain=False)  # shard already drained above
 
 
 @pytest.fixture(scope="module")

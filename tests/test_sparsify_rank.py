@@ -32,6 +32,15 @@ def test_retention_invariant(W, retention):
     assert result.W_sparse.shape == W.shape
 
 
+def test_retention_invariant_subnormal_weights():
+    # retention * total rounds down in subnormal arithmetic; the mask must
+    # still reach the target fraction.
+    W = np.full((1, 5), 5e-324)
+    result = sparsify_weights(W, retention=0.5)
+    assert result.retained_mass >= 0.5
+    assert int(result.mask.sum()) == 3
+
+
 @given(weight_matrices())
 @settings(max_examples=30, deadline=None)
 def test_greedy_keeps_largest(W):
