@@ -62,6 +62,7 @@ from repro.core.incidents import (
     incidents_from_trace,
 )
 from repro.core.streaming import (
+    PacketBatch,
     StreamingDiagnosisSession,
     StreamUpdate,
     WarmStartCache,
@@ -107,6 +108,7 @@ __all__ = [
     "IncidentTracker",
     "Observation",
     "incidents_from_trace",
+    "PacketBatch",
     "StreamingDiagnosisSession",
     "StreamUpdate",
     "WarmStartCache",

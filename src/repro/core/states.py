@@ -217,10 +217,12 @@ class StreamingStateBuilder:
     Memory is bounded by the node population: one 43-metric row per node,
     independent of trace length.
 
-    Per-packet :meth:`push` and vectorized :meth:`push_frame` produce
-    bit-identical values (same float64 operands, same elementwise ops),
-    so the batch path (:func:`build_states` = one ``push_frame`` over the
-    sorted frame) and a packet-at-a-time replay agree to the last bit.
+    Per-packet :meth:`push` and vectorized :meth:`push_frame` /
+    :meth:`push_columns` produce bit-identical values (same float64
+    operands, same elementwise ops), so the batch path
+    (:func:`build_states` = one ``push_frame`` over the sorted frame), a
+    live sink's packet batches and a packet-at-a-time replay agree to the
+    last bit.
 
     Args:
         max_epoch_gap: Emit nothing for snapshot pairs more than this many
@@ -294,24 +296,41 @@ class StreamingStateBuilder:
         chunks of it gives the same states with bounded memory.
         """
         frame = as_frame(frame)
-        n = len(frame)
+        return self.push_columns(
+            frame.node_ids, frame.epochs, frame.generated_at, frame.values
+        )
+
+    def push_columns(
+        self,
+        node_ids: np.ndarray,
+        epochs: np.ndarray,
+        generated_at: np.ndarray,
+        values: np.ndarray,
+    ) -> StateMatrix:
+        """:meth:`push_frame` over bare packet columns, in arrival order.
+
+        ``node_ids``/``epochs`` are int64, ``generated_at`` float64 and
+        ``values`` an (n, 43) float64 matrix; row ``i`` of each is packet
+        ``i``.  States come back in the order :meth:`push` would emit
+        them, with bit-identical values.
+        """
+        n = len(node_ids)
         if n == 0:
             return StateMatrix(values=np.zeros((0, NUM_METRICS)))
         self.n_packets += n
-        node_ids = frame.node_ids
         # Group rows by node, preserving arrival order within each node.
         # Frames honour the (node_id, epoch) sort invariant so the stable
-        # argsort is the identity permutation; the general path only runs
-        # for hand-built chunks.
+        # argsort is the identity permutation; the general path runs for
+        # hand-built chunks and for live packet batches.
         if n > 1 and np.any(node_ids[1:] < node_ids[:-1]):
             order = np.argsort(node_ids, kind="stable")
             sn = node_ids[order]
-            se = frame.epochs[order]
-            sg = frame.generated_at[order]
-            sv = frame.values[order]
+            se = epochs[order]
+            sg = generated_at[order]
+            sv = values[order]
         else:
             order = None
-            sn, se, sg, sv = node_ids, frame.epochs, frame.generated_at, frame.values
+            sn, se, sg, sv = node_ids, epochs, generated_at, values
 
         run_start = np.ones(n, dtype=bool)
         run_start[1:] = sn[1:] != sn[:-1]
@@ -323,11 +342,16 @@ class StreamingStateBuilder:
         prev_epochs[inner] = se[inner - 1]
         prev_times[inner] = sg[inner - 1]
         prev_values[inner] = sv[inner - 1]
-        for i in np.flatnonzero(run_start):  # one lookup per distinct node
-            cached = self._last.get(int(sn[i]))
-            if cached is not None:
-                has_prev[i] = True
-                prev_epochs[i], prev_times[i], prev_values[i] = cached
+        # One cache lookup per distinct node, one scatter per column.
+        starts = np.flatnonzero(run_start)
+        cached = [self._last.get(node) for node in sn[starts].tolist()]
+        hits = [k for k, entry in enumerate(cached) if entry is not None]
+        if hits:
+            rows = starts[hits]
+            has_prev[rows] = True
+            prev_epochs[rows] = [cached[k][0] for k in hits]
+            prev_times[rows] = [cached[k][1] for k in hits]
+            prev_values[rows] = [cached[k][2] for k in hits]
 
         gaps = se - prev_epochs
         mask = has_prev & (gaps > 0)
@@ -351,8 +375,11 @@ class StreamingStateBuilder:
         # Cache the last arrival of every node in the chunk (row copies,
         # so chunk buffers can be freed between push_frame calls).
         run_end = np.flatnonzero(np.append(run_start[1:], True))
-        for i in run_end:
-            self._last[int(sn[i])] = (int(se[i]), float(sg[i]), sv[i].copy())
+        for node, epoch, time, i in zip(
+            sn[run_end].tolist(), se[run_end].tolist(), sg[run_end].tolist(),
+            run_end.tolist(),
+        ):
+            self._last[node] = (epoch, time, sv[i].copy())
         self.n_states += len(states)
         return states
 

@@ -229,11 +229,11 @@ class Histogram:
         self.sum = 0.0
         self.count = 0
 
-    def observe(self, value: float) -> None:
-        """Record one sample (O(log buckets))."""
-        self._counts[bisect_left(self.bounds, value)] += 1
-        self.sum += value
-        self.count += 1
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` samples of ``value`` (O(log buckets))."""
+        self._counts[bisect_left(self.bounds, value)] += count
+        self.sum += value * count
+        self.count += count
 
     def bucket_counts(self) -> List[int]:
         """Per-bucket (non-cumulative) counts, +Inf last."""
@@ -294,7 +294,7 @@ class _NoopGauge(Gauge):
 class _NoopHistogram(Histogram):
     __slots__ = ()
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
         pass
 
 

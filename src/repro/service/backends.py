@@ -140,8 +140,8 @@ class ShardRoute:
         self.pending = 0  #: packets sent to the worker, not yet acked
         self.peak_pending = 0
         self.batch_seq = 0
-        #: batch_id -> (packets, enqueued_at); insertion order is send
-        #: order, which is what a crash replay must preserve.
+        #: batch_id -> (PacketBatch, enqueued_at); insertion order is
+        #: send order, which is what a crash replay must preserve.
         self.unacked: "OrderedDict[int, tuple]" = OrderedDict()
         self.counters = ShardCounters(
             latency=LatencyWindow(config.latency_window),
@@ -345,7 +345,7 @@ class ShardRouter:
             self.service._deployment_materialized(deployment)
         return route
 
-    def try_enqueue(self, deployment: str, packets, now: float) -> Tuple[bool, int]:
+    def try_enqueue(self, deployment: str, batch, now: float) -> Tuple[bool, int]:
         """Atomically accept or backpressure one batch → (accepted, queued)."""
         route = self.route(deployment)
         if route.worker_id is None:
@@ -355,19 +355,19 @@ class ShardRouter:
         config = self.service.config
         if (
             route.worker_id is None
-            or route.pending + len(packets) > config.queue_size
+            or route.pending + len(batch) > config.queue_size
         ):
             route.counters.add_batch_rejected()
             return False, route.pending
         route.batch_seq += 1
         batch_id = route.batch_seq
-        route.unacked[batch_id] = (packets, now)
-        route.pending += len(packets)
+        route.unacked[batch_id] = (batch, now)
+        route.pending += len(batch)
         route.peak_pending = max(route.peak_pending, route.pending)
-        route.counters.add_batch_accepted(len(packets))
+        route.counters.add_batch_accepted(len(batch))
         self.transport.send(
             route.worker_id,
-            protocol.shard_ingest(deployment, batch_id, packets),
+            protocol.shard_ingest(deployment, batch_id, batch),
         )
         return True, route.pending
 
@@ -417,8 +417,8 @@ class ShardRouter:
                 return
             entry = route.unacked.pop(message["batch_id"], None)
             if entry is not None:
-                packets, enqueued_at = entry
-                route.pending -= len(packets)
+                batch, enqueued_at = entry
+                route.pending -= len(batch)
                 route.counters.observe_latency(
                     time.monotonic() - enqueued_at
                 )
@@ -498,12 +498,12 @@ class ShardRouter:
                 new_worker, protocol.assign(route.name, new_worker)
             )
             replayed = 0
-            for batch_id, (packets, _t0) in route.unacked.items():
+            for batch_id, (batch, _t0) in route.unacked.items():
                 self.transport.send(
                     new_worker,
-                    protocol.shard_ingest(route.name, batch_id, packets),
+                    protocol.shard_ingest(route.name, batch_id, batch),
                 )
-                replayed += len(packets)
+                replayed += len(batch)
             if replayed:
                 self._m_replayed.inc(replayed)
 

@@ -51,6 +51,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.streaming import PacketBatch
 from repro.metrics.catalog import NUM_METRICS
 
 #: Protocol version spoken by this module.
@@ -61,6 +62,9 @@ DEPLOYMENT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 
 #: Hard cap on packets per ingest batch (keeps per-line memory bounded).
 MAX_BATCH = 4096
+
+#: Largest accepted ``node_id``/``epoch``: ids are stored as int64.
+MAX_ID = 2**63 - 1
 
 #: Machine-readable ``error.code`` values the server can send.
 ERROR_CODES = (
@@ -103,7 +107,7 @@ def decode(line) -> dict:
 def _check_envelope(msg: dict) -> Tuple[str, Optional[int]]:
     """Validate the ``v``/``type``/``seq`` envelope; return (type, seq)."""
     seq = msg.get("seq")
-    if seq is not None and not isinstance(seq, int):
+    if seq is not None and (not isinstance(seq, int) or isinstance(seq, bool)):
         raise ProtocolError("bad_request", "seq must be an integer")
     version = msg.get("v")
     if version != PROTOCOL_VERSION:
@@ -135,8 +139,8 @@ def parse_packet(obj, seq: Optional[int] = None) -> Tuple[int, int, float, np.nd
 
     The tuple is exactly what
     :meth:`repro.core.streaming.StreamingDiagnosisSession.push_packet`
-    takes.  Checks: integer ``node_id >= 0`` and ``epoch >= 0``, finite
-    ``generated_at``, and a ``values`` list of exactly
+    takes.  Checks: integer ``node_id`` and ``epoch`` in ``[0, MAX_ID]``,
+    finite ``generated_at``, and a ``values`` list of exactly
     :data:`~repro.metrics.catalog.NUM_METRICS` finite numbers.
     """
     if not isinstance(obj, dict):
@@ -148,15 +152,15 @@ def parse_packet(obj, seq: Optional[int] = None) -> Tuple[int, int, float, np.nd
         values = obj["values"]
     except KeyError as exc:
         raise ProtocolError("bad_packet", f"packet missing {exc}", seq) from exc
-    if not isinstance(node_id, int) or isinstance(node_id, bool) or node_id < 0:
-        raise ProtocolError(
-            "bad_packet", f"node_id must be a non-negative integer, got {node_id!r}", seq
-        )
-    if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
-        raise ProtocolError(
-            "bad_packet", f"epoch must be a non-negative integer, got {epoch!r}", seq
-        )
-    if not isinstance(generated_at, (int, float)) or not math.isfinite(generated_at):
+    for name, value in (("node_id", node_id), ("epoch", epoch)):
+        if (not isinstance(value, int) or isinstance(value, bool)
+                or not 0 <= value <= MAX_ID):
+            raise ProtocolError(
+                "bad_packet",
+                f"{name} must be an integer in [0, 2**63), got {value!r}",
+                seq,
+            )
+    if not isinstance(generated_at, (int, float)) or not _finite(generated_at):
         raise ProtocolError(
             "bad_packet", f"generated_at must be a finite number, got {generated_at!r}", seq
         )
@@ -167,16 +171,74 @@ def parse_packet(obj, seq: Optional[int] = None) -> Tuple[int, int, float, np.nd
             f"values must list exactly {NUM_METRICS} catalog metrics, got {got}",
             seq,
         )
-    array = np.asarray(values, dtype=float)
-    if array.shape != (NUM_METRICS,) or not np.all(np.isfinite(array)):
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # nested, ragged, huge
+        array = None
+    if (array is None or array.shape != (NUM_METRICS,)
+            or not np.all(np.isfinite(array))):
         raise ProtocolError(
             "bad_packet", "values must be finite numbers", seq
         )
     return int(node_id), int(epoch), float(generated_at), array
 
 
-def parse_ingest(msg: dict) -> Tuple[Optional[int], str, List[Tuple[int, int, float, np.ndarray]]]:
-    """Validate a full ``ingest`` message → (seq, deployment, packets)."""
+def _finite(number) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+# Exact JSON types of the columns (bool is an int subclass, so it is
+# left to the per-packet path to reject).
+_INT = {int}
+_NUMBER = {int, float}
+_LIST = {list}
+
+
+def _parse_columns(packets: list) -> Optional[PacketBatch]:
+    """The batch as columns, or None if any packet fails any check.
+
+    The same checks as :func:`parse_packet`, run column by column with
+    exact JSON types; the ``values`` width is checked by the shape of
+    the stacked matrix.  A None sends the caller to the per-packet path,
+    which names the first bad packet.
+    """
+    try:
+        node_ids = [p["node_id"] for p in packets]
+        epochs = [p["epoch"] for p in packets]
+        times = [p["generated_at"] for p in packets]
+        values = [p["values"] for p in packets]
+    except (KeyError, TypeError):  # a missing key, or not an object
+        return None
+    if (set(map(type, node_ids)) != _INT or set(map(type, epochs)) != _INT
+            or not set(map(type, times)) <= _NUMBER
+            or set(map(type, values)) != _LIST):
+        return None
+    try:
+        batch = PacketBatch(
+            np.array(node_ids, dtype=np.int64),
+            np.array(epochs, dtype=np.int64),
+            np.array(times, dtype=float),
+            np.array(values, dtype=float),
+        )
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if (batch.values.shape != (len(packets), NUM_METRICS)
+            or min(batch.node_ids.min(), batch.epochs.min()) < 0
+            or not np.isfinite(batch.values).all()
+            or not np.isfinite(batch.generated_at).all()):
+        return None
+    return batch
+
+
+def parse_ingest(msg: dict) -> Tuple[Optional[int], str, PacketBatch]:
+    """Validate a full ``ingest`` message → (seq, deployment, batch).
+
+    Accepts and rejects exactly what :func:`parse_packet` does on every
+    packet, with the same error.
+    """
     _mtype, seq = _check_envelope(msg)
     deployment = check_deployment(msg.get("deployment"), seq)
     packets = msg.get("packets")
@@ -186,7 +248,10 @@ def parse_ingest(msg: dict) -> Tuple[Optional[int], str, List[Tuple[int, int, fl
         raise ProtocolError(
             "bad_request", f"batch of {len(packets)} exceeds MAX_BATCH={MAX_BATCH}", seq
         )
-    return seq, deployment, [parse_packet(p, seq) for p in packets]
+    batch = _parse_columns(packets)
+    if batch is None:
+        batch = PacketBatch.from_packets([parse_packet(p, seq) for p in packets])
+    return seq, deployment, batch
 
 
 # --------------------------------------------------------------------------
@@ -351,12 +416,13 @@ def assign(deployment: str, worker: str) -> dict:
             "deployment": deployment, "worker": worker}
 
 
-def shard_ingest(deployment: str, batch_id: int, packets: list) -> dict:
-    """``packets`` are parsed tuples from :func:`parse_packet` — the
-    exact ``push_packet`` arguments, so the worker re-validates nothing."""
+def shard_ingest(deployment: str, batch_id: int, batch: PacketBatch) -> dict:
+    """``batch`` is the :class:`~repro.core.streaming.PacketBatch`
+    :func:`parse_ingest` returned — the exact ``push_batch`` argument, so
+    the worker re-validates nothing."""
     return {"v": PROTOCOL_VERSION, "type": "ingest",
             "deployment": deployment, "batch_id": batch_id,
-            "packets": packets}
+            "batch": batch}
 
 
 def shard_drain(deployment: str) -> dict:

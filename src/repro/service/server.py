@@ -388,12 +388,12 @@ class DiagnosisService:
         message = protocol.decode(line)
         mtype, seq = protocol._check_envelope(message)
         if mtype == "ingest":
-            seq, deployment, packets = protocol.parse_ingest(message)
+            seq, deployment, batch = protocol.parse_ingest(message)
             accepted, queued = self.backend.try_enqueue(
-                deployment, packets, time.monotonic()
+                deployment, batch, time.monotonic()
             )
             if accepted:
-                connection.send(protocol.ack(seq, len(packets), queued))
+                connection.send(protocol.ack(seq, len(batch), queued))
             else:
                 connection.send(
                     protocol.ack(

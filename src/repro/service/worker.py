@@ -14,9 +14,10 @@ driven by :class:`~repro.service.backends.ShardRouter`:
 The messages:
 
 * ``ingest`` batches arrive **already parsed** (the front door validated
-  them once); the worker pushes every packet through its session and
-  answers ``w_ack`` carrying the incident-event objects the batch
-  emitted, in emission order, plus the session counters.  Both
+  them once) as one :class:`~repro.core.streaming.PacketBatch`; the
+  worker hands it to its session's ``push_batch`` and answers ``w_ack``
+  carrying the incident-event objects the batch emitted, in emission
+  order, plus the session counters.  Both
   transports are FIFO both ways, so one deployment's events reach the
   front door in exactly the order its session produced them — the
   per-deployment ordering guarantee needs nothing more.
@@ -127,16 +128,13 @@ class ShardWorker:
     def handle_ingest(self, msg: dict) -> dict:
         deployment = msg["deployment"]
         session = self.session(deployment)
-        events = []
-        for packet in msg["packets"]:
-            update = session.push_packet(*packet)
-            if update is not None and update.events:
-                events.extend(
-                    protocol.incident_event_obj(e) for e in update.events
-                )
-        self.n_packets += len(msg["packets"])
+        batch = msg["batch"]
+        events = [
+            protocol.incident_event_obj(e) for e in session.push_batch(batch)
+        ]
+        self.n_packets += len(batch)
         return protocol.worker_ack(
-            deployment, msg["batch_id"], len(msg["packets"]),
+            deployment, msg["batch_id"], len(batch),
             events, session.counters(),
         )
 

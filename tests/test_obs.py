@@ -149,6 +149,24 @@ def test_histogram_overflow_bucket_reports_last_finite_bound():
     assert h.quantile(0.5) == pytest.approx(2.0)
 
 
+def test_histogram_observe_count_equals_repeated_observes():
+    """``observe(v, count=n)`` is n samples of v: a batch recording its
+    per-packet share keeps one sample per packet."""
+    once = Histogram("repro_test_seconds", buckets=(1.0, 2.0, 4.0))
+    repeated = Histogram("repro_test_seconds", buckets=(1.0, 2.0, 4.0))
+    once.observe(1.5, count=7)
+    once.observe(3.0)
+    for _ in range(7):
+        repeated.observe(1.5)
+    repeated.observe(3.0)
+    assert once.bucket_counts() == repeated.bucket_counts() == [0, 7, 1, 0]
+    assert once.count == repeated.count == 8
+    assert once.sum == repeated.sum == pytest.approx(13.5)
+    noop = MetricsRegistry(enabled=False).histogram("repro_x_seconds")
+    noop.observe(1.0, count=5)
+    assert noop.count == 0
+
+
 def test_histogram_rejects_bad_bounds():
     with pytest.raises(ValueError, match="at least one"):
         Histogram("repro_test_seconds", buckets=())

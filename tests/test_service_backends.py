@@ -168,16 +168,16 @@ def worker_state(testbed_tool):
 
 
 def test_shard_worker_ingest_ack_and_drain(testbed_tool, testbed_trace):
-    from repro.core.streaming import iter_packets
+    from repro.core.streaming import PacketBatch, iter_packets
     from repro.traces.frame import as_frame
 
     state = ShardWorker("w3", testbed_tool, {})
     packets = list(iter_packets(as_frame(testbed_trace)))[:400]
     events = []
     for batch_id, start in enumerate(range(0, len(packets), 64)):
-        ack = state.handle_ingest(
-            protocol.shard_ingest("city", batch_id, packets[start:start + 64])
-        )
+        ack = state.handle_ingest(protocol.shard_ingest(
+            "city", batch_id, PacketBatch.from_packets(packets[start:start + 64])
+        ))
         assert ack["type"] == "w_ack" and ack["deployment"] == "city"
         assert ack["accepted"] == len(packets[start:start + 64])
         events.extend(ack["events"])

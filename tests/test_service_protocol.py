@@ -124,12 +124,12 @@ def test_missing_packet_field_rejected():
 
 
 def test_parse_ingest_happy_path():
-    seq, deployment, packets = protocol.parse_ingest(
+    seq, deployment, batch = protocol.parse_ingest(
         protocol.ingest("city-a", [_packet(), _packet(epoch=4)], seq=9)
     )
     assert seq == 9
     assert deployment == "city-a"
-    assert [p[1] for p in packets] == [3, 4]
+    assert batch.epochs.tolist() == [3, 4]
 
 
 @pytest.mark.parametrize("packets", [[], None, "x"])
@@ -206,3 +206,150 @@ def test_values_accept_numpy_row_via_tolist():
     packet = _packet(values=row.tolist())
     _, _, _, parsed = protocol.parse_packet(packet)
     assert np.array_equal(parsed, row)
+
+
+@pytest.mark.parametrize("field", ["node_id", "epoch"])
+def test_ids_beyond_int64_rejected(field):
+    """Ids are stored as int64; a larger one would be accepted here and
+    blow up later, when retained states are stacked for a refit."""
+    assert protocol.parse_packet(_packet(**{field: protocol.MAX_ID}))
+    for value in (protocol.MAX_ID + 1, 2**64, 10**30):
+        with pytest.raises(protocol.ProtocolError) as exc:
+            protocol.parse_packet(_packet(**{field: value}), seq=4)
+        assert (exc.value.code, exc.value.seq) == ("bad_packet", 4)
+        assert field in str(exc.value)
+        msg = _ingest(packets=[_packet(), _packet(**{field: value})])
+        with pytest.raises(protocol.ProtocolError) as exc:
+            protocol.parse_ingest(protocol.decode(protocol.encode(msg)))
+        assert (exc.value.code, exc.value.seq) == ("bad_packet", 1)
+
+
+def test_parse_ingest_returns_packet_batch():
+    from repro.core.streaming import PacketBatch
+
+    packets = [_packet(node_id=i, epoch=2 * i, generated_at=float(i))
+               for i in range(5)]
+    _, _, batch = protocol.parse_ingest(protocol.ingest("city-a", packets))
+    assert isinstance(batch, PacketBatch) and len(batch) == 5
+    assert protocol._parse_columns(packets) is not None  # the fast path
+    assert batch.node_ids.dtype == np.int64 == batch.epochs.dtype
+    assert batch.generated_at.dtype == float == batch.values.dtype
+    assert batch.values.shape == (5, NUM_METRICS)
+    assert batch.epochs.tolist() == [0, 2, 4, 6, 8]
+
+
+# --------------------------------------------------------------------------
+# columnar parse_ingest == per-packet parse_packet
+# --------------------------------------------------------------------------
+
+
+def _mutate(packet, rng):
+    """One wire-level defect (or oddity) planted in ``packet``."""
+    if not isinstance(packet, dict) or not isinstance(packet.get("values"), list):
+        return packet  # already broken beyond a second mutation
+    key = ["node_id", "epoch", "generated_at", "values"][rng.integers(4)]
+    width = NUM_METRICS
+    values = list(packet["values"])
+    pick = rng.integers(22)
+    if pick == 0:
+        del packet[key]
+    elif pick == 1:
+        return [[], "packet", 7, None][rng.integers(4)]
+    elif pick == 2:
+        packet[["node_id", "epoch"][rng.integers(2)]] = bool(rng.integers(2))
+    elif pick == 3:
+        packet[["node_id", "epoch"][rng.integers(2)]] = -int(rng.integers(1, 9))
+    elif pick == 4:
+        packet[["node_id", "epoch"][rng.integers(2)]] = 2**63 + int(rng.integers(3))
+    elif pick == 5:
+        packet[["node_id", "epoch"][rng.integers(2)]] = 2**63 - 1
+    elif pick == 6:
+        packet["generated_at"] = [math.nan, math.inf, -math.inf][rng.integers(3)]
+    elif pick == 7:
+        values[rng.integers(width)] = [math.nan, math.inf, -math.inf][rng.integers(3)]
+        packet["values"] = values
+    elif pick == 8:
+        values[rng.integers(width)] = [1.0, 2.0]  # ragged
+        packet["values"] = values
+    elif pick == 9:
+        packet["values"] = [[v] for v in values]  # nested, uniform
+    elif pick == 10:
+        packet["values"] = values[: width - 1 - int(rng.integers(3))]
+    elif pick == 11:
+        packet["values"] = values + [0.0] * int(rng.integers(1, 3))
+    elif pick == 12:
+        packet["values"] = ["zeros", {"a": 1}, None, 0.5][rng.integers(4)]
+    elif pick == 13:
+        values[rng.integers(width)] = ["1.5", "abc", None, True][rng.integers(4)]
+        packet["values"] = values
+    elif pick == 14:
+        packet["generated_at"] = ["soon", None, True, 10**400][rng.integers(4)]
+    elif pick == 15:
+        packet["generated_at"] = int(rng.integers(0, 10**6))  # legal int time
+    elif pick == 16:
+        packet[["node_id", "epoch"][rng.integers(2)]] = float(rng.integers(9))
+    elif pick == 17:
+        values[rng.integers(width)] = 10**400  # overflows a float
+        packet["values"] = values
+    elif pick == 18:
+        packet["extra"] = "ignored"
+    elif pick == 19:
+        values[rng.integers(width)] = int(rng.integers(-5, 5))  # legal int
+        packet["values"] = values
+    elif pick == 20:
+        packet["values"] = tuple(values)  # arrives as a JSON list: legal
+    else:
+        packet["node_id"] = str(packet["node_id"])
+    return packet
+
+
+def _outcome(parse):
+    try:
+        return parse(), None
+    except protocol.ProtocolError as exc:
+        return None, (exc.code, exc.seq, str(exc))
+
+
+def test_columnar_parse_matches_per_packet_parse():
+    """Seeded property test: over mutated batches, ``parse_ingest``
+    accepts and rejects exactly what ``parse_packet`` does packet by
+    packet — same code, same seq, same message — and on accept returns
+    the same numbers as columns."""
+    from repro.core.streaming import PacketBatch
+
+    rng = np.random.default_rng(2024)
+    outcomes = {"accepted": 0, "rejected": 0}
+    for case in range(600):
+        n = int(rng.integers(1, 40))
+        packets = [
+            {
+                "node_id": int(rng.integers(0, 300)),
+                "epoch": int(rng.integers(0, 5000)),
+                "generated_at": float(rng.uniform(0, 1e6)),
+                "values": rng.normal(size=NUM_METRICS).tolist(),
+            }
+            for _ in range(n)
+        ]
+        for _ in range(int(rng.integers(0, 3))):
+            at = int(rng.integers(n))
+            packets[at] = _mutate(packets[at], rng)
+        # Through the wire text, so NaN/Infinity arrive as JSON literals.
+        msg = protocol.decode(protocol.encode(
+            protocol.ingest("city-a", packets, seq=case)
+        ))
+        got, got_error = _outcome(lambda: protocol.parse_ingest(msg))
+        want, want_error = _outcome(lambda: [
+            protocol.parse_packet(p, case) for p in msg["packets"]
+        ])
+        assert got_error == want_error, (case, packets)
+        if got_error is None:
+            outcomes["accepted"] += 1
+            seq, deployment, batch = got
+            assert (seq, deployment, len(batch)) == (case, "city-a", n)
+            expected = PacketBatch.from_packets(want)
+            for column, array in zip(PacketBatch._fields, batch):
+                assert array.dtype == getattr(expected, column).dtype
+                assert np.array_equal(array, getattr(expected, column)), column
+        else:
+            outcomes["rejected"] += 1
+    assert min(outcomes.values()) > 100, outcomes

@@ -338,6 +338,11 @@ def test_hello_and_protocol_errors_keep_connection_usable(served, testbed_frame)
     raw.write(protocol.encode({"v": 1, "type": "frobnicate", "seq": 6}))
     raw.flush()
     assert client._read_message()["code"] == "bad_type"
+    # A bool seq is not an integer -> bad_request, nothing echoed.
+    raw.write(protocol.encode({"v": 1, "type": "ingest", "seq": True}))
+    raw.flush()
+    reply = client._read_message()
+    assert (reply["code"], reply["seq"]) == ("bad_request", None)
     # Malformed deployment -> bad_deployment.
     packet = next(iter_packets(testbed_frame))
     raw.write(protocol.encode(protocol.ingest("no spaces", [

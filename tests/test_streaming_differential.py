@@ -17,6 +17,10 @@ vary at the ULP level with batch composition, which is exactly why the
 incident path (where strengths feed clustering decisions) solves one
 state at a time on both sides.
 
+A second harness holds ``StreamingDiagnosisSession.push_batch`` to the
+``push_packet`` loop over seeded random chunkings: the same events,
+counters, node summaries, incidents, flush and registry counts.
+
 The tier-1 run covers the ``tiny`` and ``small`` CitySee presets plus
 the testbed trace; set ``VN2_DIFF_ALL=1`` to additionally sweep the
 scaled ``medium`` and ``full`` presets, as the CI streaming job does.
@@ -34,7 +38,13 @@ from repro.core.exceptions import StreamingExceptionDetector, detect_exceptions
 from repro.core.incidents import IncidentAggregator
 from repro.core.pipeline import VN2, VN2Config
 from repro.core.states import StreamingStateBuilder, build_states, stack_states
-from repro.core.streaming import StreamingDiagnosisSession, iter_packets
+from repro.core.streaming import (
+    PacketBatch,
+    StreamingDiagnosisSession,
+    iter_packets,
+)
+from repro.obs import MetricsRegistry
+from repro.service.worker import _tracker_doc
 from repro.traces.citysee import CitySeeProfile, generate_citysee_frame
 from repro.traces.frame import as_frame
 
@@ -186,12 +196,10 @@ def test_diagnose_stream_flushes_open_incidents(testbed_tool, testbed_trace):
         assert final.events and all(e.kind == "close" for e in final.events)
 
 
-def test_stat_less_model_diagnoses_everything(tmp_path, testbed_tool,
-                                              testbed_trace):
-    """A legacy save (no training stats) streams like the batch fallback:
-    no screen, every state diagnosed."""
-    path = tmp_path / "model"
-    testbed_tool.save(path)
+def _legacy_model(tool, path):
+    """``tool`` saved the way an older version did: no training stats, so
+    the loaded model cannot screen."""
+    tool.save(path)
     with np.load(path.with_suffix(".npz")) as arrays:
         stripped = {
             k: arrays[k] for k in arrays.files if not k.startswith("train_")
@@ -203,10 +211,178 @@ def test_stat_less_model_diagnoses_everything(tmp_path, testbed_tool,
     sidecar = json.loads(sidecar_path.read_text())
     sidecar.pop("model_version", None)
     sidecar_path.write_text(json.dumps(sidecar))
-    legacy = VN2.load(path)
+    return VN2.load(path)
+
+
+def test_stat_less_model_diagnoses_everything(tmp_path, testbed_tool,
+                                              testbed_trace):
+    """A legacy save (no training stats) streams like the batch fallback:
+    no screen, every state diagnosed."""
+    legacy = _legacy_model(testbed_tool, tmp_path / "model")
 
     frame = as_frame(testbed_trace)
     session = StreamingDiagnosisSession(legacy)
     updates = list(session.process(frame))
     assert updates and all(u.is_exception for u in updates)
     assert all(u.report is not None for u in updates)
+
+
+# --------------------------------------------------------------------------
+# push_batch == push_packet loop
+# --------------------------------------------------------------------------
+
+
+def _chunks(n, rng):
+    """Random batch boundaries: sizes 1..600, small ones as often as big."""
+    bounds, start = [], 0
+    while start < n:
+        high = 16 if rng.random() < 0.5 else 600
+        size = int(rng.integers(1, high + 1))
+        bounds.append((start, min(n, start + size)))
+        start += size
+    return bounds
+
+
+def _registry_counts(registry):
+    """The registry dump without timings: histograms keep their sample
+    count, not their buckets or sums."""
+    out = {}
+    for name, entry in registry.dump().items():
+        out[name] = [
+            {k: v for k, v in series.items() if k not in ("sum", "counts")}
+            for series in entry["series"]
+        ]
+    return out
+
+
+def _session_outputs(session, events):
+    drained = session.drain_exception_states()
+    return {
+        "events": events,
+        "counters": session.counters(),
+        "nodes": session.node_summaries(),
+        "incidents": _tracker_doc(session.tracker),
+        "drift": session.drift_score,
+        "reservoir": [
+            getattr(drained, column).tolist()
+            for column in ("values", "node_ids", "epochs_from", "epochs_to",
+                           "times_from", "times_to")
+        ],
+        "flush": session.finish(),
+        "registry": _registry_counts(session.registry),
+    }
+
+
+def _batch_vs_packets(tool, packets, seed, rotate_to=None, **kwargs):
+    """Run ``packets`` through a push_packet loop and through push_batch
+    over a seeded random chunking; return both sessions' outputs.
+
+    With ``rotate_to``, both sessions switch to that model at the first
+    batch boundary past the middle of the stream.
+    """
+    def make():
+        return StreamingDiagnosisSession(
+            tool,
+            registry=MetricsRegistry(enabled=True),
+            metric_labels={"deployment": "d",
+                           "model_version": tool.model_version},
+            keep_exception_states=64,
+            max_closed_incidents=50,
+            **kwargs,
+        )
+
+    chunks = _chunks(len(packets), np.random.default_rng(seed))
+    cut = next((a for a, _ in chunks if a >= len(packets) // 2), None)
+    looped, batched = make(), make()
+    loop_events, batch_events = [], []
+    for index, packet in enumerate(packets):
+        if rotate_to is not None and index == cut:
+            looped.set_model(rotate_to)
+        update = looped.push_packet(*packet)
+        if update is not None:
+            loop_events.extend(update.events)
+    for start, end in chunks:
+        if rotate_to is not None and start == cut:
+            batched.set_model(rotate_to)
+        batch_events.extend(
+            batched.push_batch(PacketBatch.from_packets(packets[start:end]))
+        )
+    return (_session_outputs(looped, loop_events),
+            _session_outputs(batched, batch_events))
+
+
+def _assert_same_outputs(expected, got):
+    assert expected["events"], "workload emitted no incident events"
+    for key in expected:
+        assert got[key] == expected[key], key
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_push_batch_matches_push_packet(seed, testbed_tool, testbed_trace):
+    packets = list(iter_packets(as_frame(testbed_trace)))
+    expected, got = _batch_vs_packets(testbed_tool, packets, seed)
+    _assert_same_outputs(expected, got)
+    assert expected["counters"]["exceptions"] > 0
+
+
+def _shuffled_arrivals(packets, rng):
+    """Arrival stream with duplicate and out-of-order epochs: some packets
+    arrive twice, some swap places with the next one."""
+    out = []
+    for packet in packets:
+        out.append(packet)
+        if rng.random() < 0.05:
+            out.append(packet)
+    for i in range(len(out) - 1):
+        if rng.random() < 0.05:
+            out[i], out[i + 1] = out[i + 1], out[i]
+    return out
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"max_epoch_gap": 2},
+    {"per_epoch_rate": True},
+    {"max_epoch_gap": 3, "per_epoch_rate": True},
+], ids=["plain", "max_gap", "rate", "max_gap_rate"])
+def test_push_batch_matches_on_disordered_lossy_stream(
+    kwargs, testbed_tool, testbed_trace
+):
+    rng = np.random.default_rng(11)
+    packets = [
+        p for p in iter_packets(as_frame(testbed_trace))
+        if rng.random() > 0.15  # loss opens epoch gaps
+    ]
+    packets = _shuffled_arrivals(packets, rng)
+    expected, got = _batch_vs_packets(testbed_tool, packets, 5, **kwargs)
+    _assert_same_outputs(expected, got)
+
+
+def test_push_batch_matches_with_stat_less_model(
+    tmp_path, testbed_tool, testbed_trace
+):
+    legacy = _legacy_model(testbed_tool, tmp_path / "model")
+    packets = list(iter_packets(as_frame(testbed_trace)))[:1500]
+    expected, got = _batch_vs_packets(legacy, packets, 3)
+    _assert_same_outputs(expected, got)
+    assert expected["counters"]["exceptions"] == expected["counters"]["states"]
+
+
+def test_push_batch_matches_across_set_model(testbed_tool, testbed_trace):
+    rotated = VN2(VN2Config(rank=6)).fit(as_frame(testbed_trace))
+    packets = list(iter_packets(as_frame(testbed_trace)))
+    expected, got = _batch_vs_packets(
+        testbed_tool, packets, 4, rotate_to=rotated
+    )
+    _assert_same_outputs(expected, got)
+    labels = {
+        tuple(sorted(series["labels"].items()))
+        for series in got["registry"]["repro_streaming_states_total"]
+    }
+    assert len(labels) == 2  # one series per model version
+
+
+def test_push_batch_of_nothing_is_a_no_op(testbed_tool):
+    session = StreamingDiagnosisSession(testbed_tool)
+    assert session.push_batch(PacketBatch.from_packets([])) == []
+    assert session.counters()["packets"] == 0
