@@ -65,6 +65,7 @@ from repro.core.incidents import (
     observations_for_state,
 )
 from repro.core.inference import (
+    NNLSMetrics,
     NNLSSolverCache,
     infer_weights_batch,
     sparsify_inferred,
@@ -426,6 +427,7 @@ class StreamingDiagnosisSession:
             labels,
             buckets=LATENCY_BUCKETS,
         )
+        self._m_nnls = NNLSMetrics(reg, labels)
 
     def _bind_model(self, tool: VN2) -> None:
         self.tool = tool
@@ -673,6 +675,7 @@ class StreamingDiagnosisSession:
             normalized,
             warm_start=None if previous is None else previous[None, :],
             solver_cache=self._solver_cache,
+            metrics=self._m_nnls,
         )
         if self._warm is not None:
             self._warm.put(state.node_id, state.epoch_to, weights[0])

@@ -277,9 +277,19 @@ def test_http_metrics_prometheus(served):
     with urlopen(url, timeout=10.0) as response:
         assert response.headers.get_content_type() == "text/plain"
         body = response.read().decode("utf-8")
-    assert validate_exposition(body) > 0
+    assert validate_exposition(body, require_help=True) > 0
     lines = body.splitlines()
     assert "# TYPE repro_streaming_packets_total counter" in lines
+    # the shard session's NNLS solves are served, one per flagged state
+    (solved,) = [
+        line for line in lines
+        if line.startswith("repro_core_nnls_states_total{")
+        and 'deployment="ops"' in line
+    ]
+    exceptions = http_get_json(served.host, served.http_port, "/metrics")[
+        "deployments"]["ops"]["exceptions"]
+    assert exceptions > 0
+    assert float(solved.rsplit(" ", 1)[1]) == exceptions
     # shard metrics carry the deployment label
     assert any(
         line.startswith('repro_service_packets_accepted_total{deployment="ops"}')
