@@ -53,17 +53,10 @@ def sparsify_weights(
         A :class:`SparsifyResult`; ``W_sparse`` has the same shape as W.
     """
     W = np.asarray(W, dtype=float)
-    if W.ndim != 2:
-        raise ValueError(f"W must be 2-D, got shape {W.shape}")
-    if not (0.0 < retention <= 1.0):
-        raise ValueError(f"retention must be in (0, 1], got {retention}")
-    if np.any(W < 0):
-        raise ValueError("W must be non-negative (it comes from NMF)")
+    _check_weights(W, retention)
 
     if row_normalize:
-        mask = np.zeros(W.shape, dtype=bool)
-        for i in range(W.shape[0]):
-            mask[i] = _mass_mask(W[i], retention)
+        mask = _row_mass_mask(W, retention)
     else:
         mask = _mass_mask(W.ravel(), retention).reshape(W.shape)
 
@@ -76,6 +69,24 @@ def sparsify_weights(
         kept_fraction=float(mask.mean()) if mask.size else 1.0,
         retained_mass=retained,
     )
+
+
+def _check_weights(W: np.ndarray, retention: float) -> None:
+    """Reject a weight matrix or retention that Algorithm 2 cannot take."""
+    if W.ndim != 2:
+        raise ValueError(f"W must be 2-D, got shape {W.shape}")
+    if not (0.0 < retention <= 1.0):
+        raise ValueError(f"retention must be in (0, 1], got {retention}")
+    if np.any(W < 0):
+        raise ValueError("W must be non-negative (it comes from NMF)")
+
+
+def _row_mass_mask(W: np.ndarray, retention: float) -> np.ndarray:
+    """Per-row :func:`_mass_mask` of a 2-D W."""
+    mask = np.zeros(W.shape, dtype=bool)
+    for i in range(W.shape[0]):
+        mask[i] = _mass_mask(W[i], retention)
+    return mask
 
 
 def _mass_mask(values: np.ndarray, retention: float) -> np.ndarray:
