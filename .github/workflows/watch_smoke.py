@@ -4,9 +4,13 @@ Trains a small testbed model, saves it, then starts a background thread
 that appends the trace's JSONL rows one by one while `vn2 watch` follows
 the file with the saved model.  The watcher must exit cleanly on idle
 timeout, having seen every packet, and append its incident events to
-``$VN2_WATCH_LOG`` (uploaded as the job's artifact).
+``$VN2_WATCH_LOG`` (uploaded as the job's artifact; ``watch-smoke/
+followed.jsonl`` when unset).  Those events must be byte-equal to the
+log of a ``--no-follow`` watch over the finished file: how the tail's
+reads cut the rows into chunks must not change the output.
 """
 
+import os
 import subprocess
 import sys
 import threading
@@ -40,22 +44,31 @@ def writer():
             time.sleep(0.002)
 
 
+def watch(*args) -> int:
+    return subprocess.call([
+        sys.executable, "-m", "repro.cli", "watch", str(live),
+        "--model", str(work / "model"), *args,
+    ])
+
+
+followed_log = Path(os.environ.get("VN2_WATCH_LOG") or work / "followed.jsonl")
+start = followed_log.stat().st_size if followed_log.exists() else 0
+
 thread = threading.Thread(target=writer)
 thread.start()
-rc = subprocess.call(
-    [
-        sys.executable,
-        "-m",
-        "repro.cli",
-        "watch",
-        str(live),
-        "--model",
-        str(work / "model"),
-        "--poll",
-        "0.1",
-        "--idle-timeout",
-        "5",
-    ]
-)
+rc = watch("--poll", "0.1", "--idle-timeout", "5", "--output", str(followed_log))
 thread.join()
-sys.exit(rc)
+if rc:
+    sys.exit(rc)
+
+finished_log = work / "finished.jsonl"
+finished_log.unlink(missing_ok=True)
+rc = watch("--no-follow", "--output", str(finished_log))
+if rc:
+    sys.exit(rc)
+followed = followed_log.read_bytes()[start:]
+assert followed, "the followed watch logged no events"
+assert followed == finished_log.read_bytes(), (
+    "followed log differs from the --no-follow log of the finished file"
+)
+print(f"followed log == --no-follow log ({len(followed)} bytes)")

@@ -273,19 +273,15 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         stats_state["packets"] = counts["packets"]
 
     try:
-        rows = tail_frame_jsonl(
+        chunks = tail_frame_jsonl(
             args.trace,
             poll_s=args.poll,
             follow=args.follow,
             idle_timeout=args.idle_timeout,
         )
         with contextlib.suppress(KeyboardInterrupt):
-            for row in rows:
-                update = session.push_packet(
-                    row.node_id, row.epoch, row.generated_at, row.values
-                )
-                if update is not None and update.events:
-                    emit(update.events)
+            for chunk in chunks:
+                emit(session.push_batch(chunk))
                 if stats_every is not None:
                     maybe_stats()
         emit(session.finish())

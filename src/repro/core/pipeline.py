@@ -594,9 +594,12 @@ class VN2:
         The online face of the engine: packets go through the streaming
         state builder, the ε exception screen, one per-state NNLS solve
         and the incident tracker, yielding one
-        :class:`~repro.core.streaming.StreamUpdate` per completed state as
-        its completing packet arrives — memory stays bounded by the node
-        population, never the trace length.
+        :class:`~repro.core.streaming.StreamUpdate` per completed state.
+        Packets are pushed in
+        :data:`~repro.core.streaming.SLICE_PACKETS`-packet slices, so the
+        updates arrive a slice at a time, not per packet — memory stays
+        bounded by the node population and the slice, never the trace
+        length.
 
         ``packets`` is anything :func:`repro.core.streaming.iter_packets`
         accepts: a :class:`~repro.traces.frame.TraceFrame` / ``Trace``

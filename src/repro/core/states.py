@@ -12,10 +12,12 @@ arrives.  :func:`build_states` — the batch API — is a replay over that
 core: one vectorized :meth:`StreamingStateBuilder.push_frame` call over
 the whole (node, epoch)-sorted frame, which reduces to exactly the
 adjacent-row differencing pass the columnar backbone introduced.
-Per-packet :meth:`~StreamingStateBuilder.push` and chunked/whole-frame
-:meth:`~StreamingStateBuilder.push_frame` are bit-identical: the same
-float64 subtraction on the same operands, so online diagnosis and batch
-training see the same numbers.
+Every entry point runs the one
+:meth:`~StreamingStateBuilder.push_columns` pass — one packet
+(:meth:`~StreamingStateBuilder.push`), a chunk or a whole frame
+(:meth:`~StreamingStateBuilder.push_frame`) — and any chunking gives
+bit-identical states: the same float64 subtraction on the same operands,
+so online diagnosis and batch training see the same numbers.
 
 Provenance (which node, which epoch pair, when) travels as parallel
 columns; the object view (:attr:`StateMatrix.provenance`) is materialized
@@ -127,6 +129,17 @@ class StateMatrix:
             sub._provenance = [self._provenance[int(i)] for i in indices]
         return sub
 
+    def streamed(self, i: int) -> "StreamedState":
+        """Row ``i`` as a :class:`StreamedState` (its values copied)."""
+        return StreamedState(
+            values=self.values[i].copy(),
+            node_id=int(self.node_ids[i]),
+            epoch_from=int(self.epochs_from[i]),
+            epoch_to=int(self.epochs_to[i]),
+            time_from=float(self.times_from[i]),
+            time_to=float(self.times_to[i]),
+        )
+
     def select(self, indices: Sequence[int]) -> "StateMatrix":
         """Sub-matrix of the given row indices (provenance preserved)."""
         return self._take(np.asarray(list(indices), dtype=np.intp))
@@ -217,12 +230,12 @@ class StreamingStateBuilder:
     Memory is bounded by the node population: one 43-metric row per node,
     independent of trace length.
 
-    Per-packet :meth:`push` and vectorized :meth:`push_frame` /
-    :meth:`push_columns` produce bit-identical values (same float64
-    operands, same elementwise ops), so the batch path
-    (:func:`build_states` = one ``push_frame`` over the sorted frame), a
-    live sink's packet batches and a packet-at-a-time replay agree to the
-    last bit.
+    :meth:`push_columns` is the one differencing pass: :meth:`push` is a
+    one-row call of it and :meth:`push_frame` a frame's columns.  Any
+    chunking produces bit-identical values (same float64 operands, same
+    elementwise ops), so the batch path (:func:`build_states` = one
+    ``push_frame`` over the sorted frame), a live sink's packet batches
+    and a packet-at-a-time replay agree to the last bit.
 
     Args:
         max_epoch_gap: Emit nothing for snapshot pairs more than this many
@@ -256,34 +269,17 @@ class StreamingStateBuilder:
         generated_at: float,
         values: np.ndarray,
     ) -> Optional[StreamedState]:
-        """Ingest one report packet; return the completed state, if any."""
-        node_id = int(node_id)
-        epoch = int(epoch)
-        generated_at = float(generated_at)
-        values = np.array(values, dtype=float).ravel()
-        self.n_packets += 1
-        prev = self._last.get(node_id)
-        self._last[node_id] = (epoch, generated_at, values)
-        if prev is None:
-            return None
-        prev_epoch, prev_time, prev_values = prev
-        gap = epoch - prev_epoch
-        if gap <= 0:
-            return None
-        if self.max_epoch_gap is not None and gap > self.max_epoch_gap:
-            return None
-        delta = values - prev_values
-        if self.per_epoch_rate:
-            delta = delta / gap
-        self.n_states += 1
-        return StreamedState(
-            values=delta,
-            node_id=node_id,
-            epoch_from=prev_epoch,
-            epoch_to=epoch,
-            time_from=prev_time,
-            time_to=generated_at,
+        """Ingest one report packet; return the completed state, if any.
+
+        A one-row :meth:`push_columns`.
+        """
+        states = self.push_columns(
+            np.array([node_id], dtype=np.int64),
+            np.array([epoch], dtype=np.int64),
+            np.array([generated_at], dtype=float),
+            np.array(values, dtype=float).reshape(1, -1),
         )
+        return states.streamed(0) if len(states) else None
 
     def push_frame(self, frame: Union[Trace, TraceFrame]) -> StateMatrix:
         """Vectorized chunk ingestion: one differencing pass per chunk.
@@ -311,8 +307,8 @@ class StreamingStateBuilder:
 
         ``node_ids``/``epochs`` are int64, ``generated_at`` float64 and
         ``values`` an (n, 43) float64 matrix; row ``i`` of each is packet
-        ``i``.  States come back in the order :meth:`push` would emit
-        them, with bit-identical values.
+        ``i``.  States come back in the arrival order of the packets
+        that completed them, with the values one-row calls would give.
         """
         n = len(node_ids)
         if n == 0:

@@ -1,7 +1,7 @@
 """Streaming diagnosis session: report packets in, incident events out.
 
 This is the online assembly of the incremental engine — the deployed loop
-of the paper's Fig 1 run packet by packet instead of trace by trace:
+of the paper's Fig 1 run as packets arrive instead of trace by trace:
 
 1. :class:`~repro.core.states.StreamingStateBuilder` turns each arriving
    report packet into a network state the moment its pair completes;
@@ -14,10 +14,14 @@ of the paper's Fig 1 run packet by packet instead of trace by trace:
    whose open/update/close :class:`~repro.core.incidents.IncidentEvent`
    records are what ``vn2 watch`` prints.
 
-:meth:`StreamingDiagnosisSession.push_batch` runs the same loop over a
-:class:`PacketBatch` — steps 1 and 2 once per batch, as array operations,
-and step 3 still once per flagged state — with the same output as
-feeding its packets to :meth:`~StreamingDiagnosisSession.push_packet`.
+The session runs that loop in one place, over a :class:`PacketBatch`:
+steps 1 and 2 once per batch, as array operations, and step 3 once per
+flagged state, in packet order.  Every entry point is that one step —
+:meth:`~StreamingDiagnosisSession.push_batch` (the sink, ``vn2 watch``),
+:meth:`~StreamingDiagnosisSession.process` and ``VN2.diagnose_stream``
+(:data:`SLICE_PACKETS`-packet slices) and
+:meth:`~StreamingDiagnosisSession.push_packet` (one row) — and how the
+packets are cut into batches never changes the output.
 
 Memory is bounded: one cached report per node, one small health summary
 per node (:meth:`StreamingDiagnosisSession.node_summaries` — the
@@ -28,10 +32,10 @@ replays stay bit-identical); pass ``max_closed_incidents`` to cap that
 retention for unbounded runs (the sink service does).
 
 Bit-identity with the batch path holds by construction: the builder's
-per-packet differencing, the per-row ε screen, and the per-state NNLS
-solve are the very calls the batch replays make, and feeding packets in
-the canonical arrival order (``generated_at``, then node id, then epoch —
-what :func:`iter_packets` yields) reproduces the batch observation order
+differencing, the per-row ε screen, and the per-state NNLS solve are the
+very calls the batch replays make, and feeding packets in the canonical
+arrival order (``generated_at``, then node id, then epoch — what
+:func:`iter_packets` yields) reproduces the batch observation order
 exactly.
 """
 
@@ -40,15 +44,14 @@ from __future__ import annotations
 import time
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import (
     Dict,
     Iterable,
     Iterator,
     List,
     Mapping,
-    NamedTuple,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -56,7 +59,7 @@ from typing import (
 import numpy as np
 
 from repro.obs import LATENCY_BUCKETS, MetricsRegistry, get_registry
-from repro.metrics.catalog import METRIC_INDEX, NUM_METRICS
+from repro.metrics.catalog import METRIC_INDEX
 from repro.core.exceptions import StreamingExceptionDetector
 from repro.core.incidents import (
     IncidentEvent,
@@ -77,50 +80,13 @@ from repro.core.states import (
     StreamingStateBuilder,
     stack_states,
 )
-from repro.traces.frame import TraceFrame, as_frame
+from repro.traces.frame import Packet, PacketBatch, TraceFrame, as_frame
 from repro.traces.records import SnapshotRow, Trace
 
-#: One report packet: (node_id, epoch, generated_at, values).
-Packet = Tuple[int, int, float, np.ndarray]
-
-
-class PacketBatch(NamedTuple):
-    """Report packets in arrival order, as columns.
-
-    What :func:`repro.service.protocol.parse_ingest` returns and
-    :meth:`StreamingDiagnosisSession.push_batch` takes.  ``len()`` is the
-    packet count, not the field count, while iterating or unpacking the
-    tuple still yields the four columns.  ``==`` and ``hash`` are not
-    supported (the fields are arrays); compare columns with
-    :func:`numpy.array_equal`.  Pickling ships the four arrays, not one
-    tuple per packet.
-
-    Attributes:
-        node_ids / epochs: (n,) int64.
-        generated_at: (n,) float64.
-        values: (n, 43) float64 catalog metrics.
-    """
-
-    node_ids: np.ndarray
-    epochs: np.ndarray
-    generated_at: np.ndarray
-    values: np.ndarray
-
-    def __len__(self) -> int:
-        return self.node_ids.shape[0]
-
-    @classmethod
-    def from_packets(cls, packets: Sequence[Packet]) -> "PacketBatch":
-        """Columns of ``(node_id, epoch, generated_at, values)`` tuples."""
-        return cls(
-            np.array([p[0] for p in packets], dtype=np.int64),
-            np.array([p[1] for p in packets], dtype=np.int64),
-            np.array([p[2] for p in packets], dtype=float),
-            np.array(
-                [p[3] for p in packets], dtype=float
-            ).reshape(len(packets), NUM_METRICS),
-        )
-
+#: Packets per :class:`PacketBatch` slice when
+#: :meth:`StreamingDiagnosisSession.process` replays a frame or a packet
+#: iterable (the sink benchmark's line size).
+SLICE_PACKETS = 512
 
 #: Raw catalog metrics captured into per-node summaries — the dashboard's
 #: topology/health feed: routing position (hop count), path quality,
@@ -134,6 +100,11 @@ def _last_per_node(node_ids: List[int]) -> Tuple[List[int], List[int], List[int]
     last = dict(zip(node_ids, range(len(node_ids))))  # later rows win
     counts = Counter(node_ids)
     return list(last), list(last.values()), [counts[k] for k in last]
+
+
+def _arrival_order(frame: TraceFrame) -> np.ndarray:
+    """Row order of ``frame`` by (generated_at, node_id, epoch)."""
+    return np.lexsort((frame.epochs, frame.node_ids, frame.generated_at))
 
 
 def iter_packets(
@@ -151,8 +122,7 @@ def iter_packets(
     """
     if isinstance(source, (Trace, TraceFrame)):
         frame = as_frame(source)
-        order = np.lexsort((frame.epochs, frame.node_ids, frame.generated_at))
-        for i in order:
+        for i in _arrival_order(frame):
             yield (
                 int(frame.node_ids[i]),
                 int(frame.epochs[i]),
@@ -171,6 +141,31 @@ def iter_packets(
                 float(generated_at),
                 np.asarray(values, dtype=float),
             )
+
+
+def _slices(source) -> Iterator[PacketBatch]:
+    """:func:`iter_packets` order as :data:`SLICE_PACKETS`-packet batches.
+
+    A frame is sorted once and sliced by row index, never row by row.
+    """
+    if isinstance(source, (Trace, TraceFrame)):
+        frame = as_frame(source)
+        order = _arrival_order(frame)
+        for start in range(0, len(order), SLICE_PACKETS):
+            rows = order[start : start + SLICE_PACKETS]
+            yield PacketBatch(
+                frame.node_ids[rows],
+                frame.epochs[rows],
+                frame.generated_at[rows],
+                frame.values[rows],
+            )
+        return
+    packets = iter_packets(source)
+    while True:
+        chunk = list(islice(packets, SLICE_PACKETS))
+        if not chunk:
+            return
+        yield PacketBatch.from_packets(chunk)
 
 
 class WarmStartCache:
@@ -259,8 +254,9 @@ class StreamUpdate:
     Attributes:
         state: The emitted network state (``None`` only on the final
             flush update of :meth:`VN2.diagnose_stream`).
-        score: The ε/max(ε) exception score (``None`` when the model
-            carries no training statistics).
+        score: The ε/max(ε) exception score (``None`` only on the flush
+            update; a model without training statistics reports its
+            online Welford score).
         is_exception: Whether the state passed the exception screen (and
             was therefore diagnosed).
         report: Root-cause diagnosis of the state; ``None`` for screened-
@@ -278,7 +274,7 @@ class StreamUpdate:
 
 
 class StreamingDiagnosisSession:
-    """Stateful packet-at-a-time diagnosis against a fitted model.
+    """Stateful streaming diagnosis against a fitted model.
 
     Args:
         tool: A fitted (or loaded) :class:`VN2` model.
@@ -422,8 +418,8 @@ class StreamingDiagnosisSession:
         )
         self._m_latency = reg.histogram(
             "repro_streaming_packet_seconds",
-            "Per-packet ingest latency (push_packet wall time; one "
-            "push_batch records its per-packet share once per packet)",
+            "Per-packet ingest latency: each batch's wall time over its "
+            "packets, recorded once per packet",
             labels,
             buckets=LATENCY_BUCKETS,
         )
@@ -511,47 +507,49 @@ class StreamingDiagnosisSession:
         generated_at: float,
         values: np.ndarray,
     ) -> Optional[StreamUpdate]:
-        """Ingest one report packet; return the update it completed, if any."""
-        summary = self._summary(node_id)
-        summary["epoch"] = int(epoch)
-        summary["last_seen"] = float(generated_at)
-        summary["packets"] += 1
-        for key, idx in zip(_SUMMARY_KEYS, _SUMMARY_IDX):
-            summary[key] = float(values[idx])
-        if not self._obs_on:
-            state = self.builder.push(node_id, epoch, generated_at, values)
-            if state is None:
-                return None
-            return self.push_state(state)
-        t0 = time.perf_counter()
-        self._m_packets.inc()
-        state = self.builder.push(node_id, epoch, generated_at, values)
-        update = None if state is None else self.push_state(state)
-        self._m_latency.observe(time.perf_counter() - t0)
-        return update
+        """Ingest one report packet; return the update it completed, if any.
+
+        A one-row :meth:`push_batch`, so several times dearer per packet
+        than a batch: numpy's per-call set-up is paid for one row.
+        """
+        updates = self._updates(
+            PacketBatch.from_packets([(node_id, epoch, generated_at, values)])
+        )
+        return updates[0] if updates else None
 
     def push_batch(self, batch: PacketBatch) -> List[IncidentEvent]:
         """Ingest a batch of report packets; return the events it emitted.
 
-        Equivalent to :meth:`push_packet` on every packet in order, with
-        the events of every update concatenated: the same states, scores,
-        diagnoses, incident events, node summaries and counters.  The
-        states are built in one
+        The states are built in one
         :meth:`~repro.core.states.StreamingStateBuilder.push_columns` pass
-        and screened in one vectorized call; each flagged state still gets
-        its own NNLS solve, in packet order, so incident strengths do not
-        depend on how the packets were batched.
+        and screened in one vectorized call; each flagged state gets its
+        own NNLS solve, in packet order, so states, scores, diagnoses,
+        incident events, node summaries and counters do not depend on how
+        the packets were batched.
+        """
+        if not len(batch):
+            return []
+        _states, _scores, _flags, diagnoses = self._push(batch)
+        return [e for _report, _obs, events in diagnoses for e in events]
+
+    def _push(self, batch: PacketBatch):
+        """The session's one ingest step, over a non-empty batch.
+
+        Builds, summarizes, screens, diagnoses, counts and times the
+        batch.  Returns ``(states, scores, flags, diagnoses)``: the
+        completed :class:`~repro.core.states.StateMatrix`, each state's
+        screen score and flag, and one ``(report, observations, events)``
+        per flagged state, in state order.
         """
         n = len(batch)
-        if not n:
-            return []
         t0 = time.perf_counter() if self._obs_on else 0.0
         states = self.builder.push_columns(
             batch.node_ids, batch.epochs, batch.generated_at, batch.values
         )
         self._summarize_packets(batch)
-        events: List[IncidentEvent] = []
-        n_flagged = n_observations = 0
+        scores = []
+        flags = np.zeros(0, dtype=bool)
+        diagnoses = []
         if len(states):
             if self._has_stats:
                 scores = self.tool._exception_scores(states.values)
@@ -560,29 +558,29 @@ class StreamingDiagnosisSession:
                 scores = [self._fallback_score(row) for row in states.values]
                 flags = np.ones(len(states), dtype=bool)
             self._summarize_states(states.node_ids, scores, flags)
-            for i in np.flatnonzero(flags).tolist():
-                _report, observations, state_events = self._diagnose(
-                    StreamedState(
-                        values=states.values[i].copy(),
-                        node_id=int(states.node_ids[i]),
-                        epoch_from=int(states.epochs_from[i]),
-                        epoch_to=int(states.epochs_to[i]),
-                        time_from=float(states.times_from[i]),
-                        time_to=float(states.times_to[i]),
-                    )
-                )
-                n_flagged += 1
-                n_observations += len(observations)
-                events.extend(state_events)
-        self.n_exceptions += n_flagged
+            diagnoses = [
+                self._diagnose(states.streamed(i))
+                for i in np.flatnonzero(flags).tolist()
+            ]
+        self.n_exceptions += len(diagnoses)
         self._m_packets.inc(n)
         self._m_states.inc(len(states))
-        self._m_exceptions.inc(n_flagged)
-        self._m_observations.inc(n_observations)
-        self._m_events.inc(len(events))
+        self._m_exceptions.inc(len(diagnoses))
+        self._m_observations.inc(sum(len(d[1]) for d in diagnoses))
+        self._m_events.inc(sum(len(d[2]) for d in diagnoses))
         if self._obs_on:
             self._m_latency.observe((time.perf_counter() - t0) / n, count=n)
-        return events
+        return states, scores, flags, diagnoses
+
+    def _updates(self, batch: PacketBatch) -> List[StreamUpdate]:
+        """:meth:`_push`, as one :class:`StreamUpdate` per completed state."""
+        states, scores, flags, diagnoses = self._push(batch)
+        diagnosed = iter(diagnoses)
+        return [
+            StreamUpdate(states.streamed(i), float(scores[i]), flagged,
+                         *(next(diagnosed) if flagged else (None, [], [])))
+            for i, flagged in enumerate(flags.tolist())
+        ]
 
     def _summarize_packets(self, batch: PacketBatch) -> None:
         """Node summaries after a batch: each node's last packet wins."""
@@ -604,8 +602,7 @@ class StreamingDiagnosisSession:
         for node_id, i, count in zip(nodes, last, counts):
             summary = self._node_summaries[node_id]
             summary["states"] += count
-            score = scores[i]
-            summary["score"] = None if score is None else float(score)
+            summary["score"] = float(scores[i])
             summary["exception"] = bool(flags[i])
 
     def _fallback_score(self, values: np.ndarray) -> Optional[float]:
@@ -615,49 +612,11 @@ class StreamingDiagnosisSession:
         self._fallback.update(values)
         return score
 
-    def push_state(self, state: StreamedState) -> StreamUpdate:
-        """Screen, diagnose and cluster one completed state."""
-        self._m_states.inc()
-        if self._has_stats:
-            score = float(self.tool._exception_scores(state.values)[0])
-            flagged = score >= self.threshold_ratio
-        else:
-            score = self._fallback_score(state.values)
-            flagged = True
-        summary = self._summary(state.node_id)
-        summary["states"] += 1
-        summary["score"] = None if score is None else float(score)
-        summary["exception"] = bool(flagged)
-        if not flagged:
-            return StreamUpdate(
-                state=state,
-                score=score,
-                is_exception=False,
-                report=None,
-                observations=[],
-                events=[],
-            )
-        self.n_exceptions += 1
-        self._m_exceptions.inc()
-        report, observations, events = self._diagnose(state)
-        if observations:
-            self._m_observations.inc(len(observations))
-        if events:
-            self._m_events.inc(len(events))
-        return StreamUpdate(
-            state=state,
-            score=score,
-            is_exception=True,
-            report=report,
-            observations=observations,
-            events=events,
-        )
-
     def _diagnose(
         self, state: StreamedState
     ) -> Tuple[DiagnosisReport, List[Observation], List[IncidentEvent]]:
-        """Solve, report and cluster one flagged state (counters are the
-        caller's to bump)."""
+        """Solve, report and cluster one flagged state (counters are
+        :meth:`_push`'s to bump)."""
         if self._reservoir is not None:
             self._reservoir.append(state)
         # ONE per-state solve — identical to observation_weights(), reused
@@ -771,13 +730,14 @@ class StreamingDiagnosisSession:
     def process(self, packets) -> Iterator[StreamUpdate]:
         """Stream updates for every state a packet source completes.
 
-        Accepts anything :func:`iter_packets` does.  Does NOT flush open
-        incidents — call :meth:`finish` when the stream truly ends.
+        Accepts anything :func:`iter_packets` does and pushes it in
+        :data:`SLICE_PACKETS`-packet :class:`PacketBatch` slices, in the
+        same arrival order (a frame is sorted once), so updates arrive a
+        slice at a time.  Does NOT flush open incidents — call
+        :meth:`finish` when the stream truly ends.
         """
-        for packet in iter_packets(packets):
-            update = self.push_packet(*packet)
-            if update is not None:
-                yield update
+        for batch in _slices(packets):
+            yield from self._updates(batch)
 
     def finish(self) -> List[IncidentEvent]:
         """Close every open incident (idempotent end-of-stream flush)."""

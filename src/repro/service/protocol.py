@@ -137,9 +137,10 @@ def check_deployment(name, seq: Optional[int] = None) -> str:
 def parse_packet(obj, seq: Optional[int] = None) -> Tuple[int, int, float, np.ndarray]:
     """Validate one wire packet into ``(node_id, epoch, generated_at, values)``.
 
-    The tuple is exactly what
+    One row of the :class:`~repro.traces.frame.PacketBatch` that
+    :func:`parse_ingest` builds (and exactly what
     :meth:`repro.core.streaming.StreamingDiagnosisSession.push_packet`
-    takes.  Checks: integer ``node_id`` and ``epoch`` in ``[0, MAX_ID]``,
+    takes).  Checks: integer ``node_id`` and ``epoch`` in ``[0, MAX_ID]``,
     finite ``generated_at``, and a ``values`` list of exactly
     :data:`~repro.metrics.catalog.NUM_METRICS` finite numbers.
     """

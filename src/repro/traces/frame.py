@@ -18,11 +18,54 @@ object API remains as a thin boundary shim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.metrics.catalog import NUM_METRICS
+
+#: One report packet: (node_id, epoch, generated_at, values).
+Packet = Tuple[int, int, float, np.ndarray]
+
+
+class PacketBatch(NamedTuple):
+    """Report packets in arrival order, as columns.
+
+    What :func:`repro.service.protocol.parse_ingest` returns,
+    :func:`repro.traces.io.tail_frame_jsonl` yields and
+    :meth:`repro.core.streaming.StreamingDiagnosisSession.push_batch`
+    takes.  Unlike a :class:`TraceFrame`, the rows keep the order they
+    came in.  ``len()`` is the packet count, not the field count, while
+    iterating or unpacking the tuple still yields the four columns.
+    ``==`` and ``hash`` are not supported (the fields are arrays);
+    compare columns with :func:`numpy.array_equal`.  Pickling ships the
+    four arrays, not one tuple per packet.
+
+    Attributes:
+        node_ids / epochs: (n,) int64.
+        generated_at: (n,) float64.
+        values: (n, 43) float64 catalog metrics.
+    """
+
+    node_ids: np.ndarray
+    epochs: np.ndarray
+    generated_at: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return self.node_ids.shape[0]
+
+    @classmethod
+    def from_packets(cls, packets: Sequence[Packet]) -> "PacketBatch":
+        """Columns of ``(node_id, epoch, generated_at, values)`` tuples."""
+        return cls(
+            np.array([p[0] for p in packets], dtype=np.int64),
+            np.array([p[1] for p in packets], dtype=np.int64),
+            np.array([p[2] for p in packets], dtype=float),
+            np.array(
+                [p[3] for p in packets], dtype=float
+            ).reshape(len(packets), NUM_METRICS),
+        )
 
 
 @dataclass

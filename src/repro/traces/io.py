@@ -30,8 +30,8 @@ import numpy as np
 
 from repro.obs import get_registry
 from repro.metrics.catalog import METRIC_NAMES, NUM_METRICS
-from repro.traces.frame import TraceFrame, as_frame
-from repro.traces.records import GroundTruth, SnapshotRow, Trace
+from repro.traces.frame import PacketBatch, TraceFrame, as_frame
+from repro.traces.records import GroundTruth, Trace
 
 _FORMAT_VERSION = 1
 
@@ -164,22 +164,6 @@ def row_obj(
         "received_at": float(received_at),
         "values": values,
     }
-
-
-def row_from_obj(obj: dict) -> SnapshotRow:
-    """Parse one canonical row object back into a :class:`SnapshotRow`.
-
-    ``received_at`` is optional on the wire (a live packet's receive time
-    is the sink's concern); it defaults to ``generated_at``.
-    """
-    generated_at = float(obj["generated_at"])
-    return SnapshotRow(
-        node_id=int(obj["node_id"]),
-        epoch=int(obj["epoch"]),
-        generated_at=generated_at,
-        received_at=float(obj.get("received_at", generated_at)),
-        values=np.asarray(obj["values"], dtype=float),
-    )
 
 
 def save_frame_jsonl(frame: TraceFrame, path: Union[str, Path]) -> None:
@@ -464,13 +448,14 @@ def tail_frame_jsonl(
     follow: bool = True,
     idle_timeout: Optional[float] = None,
     stop: Optional[Callable[[], bool]] = None,
-) -> Iterator[SnapshotRow]:
-    """Follow a (possibly still growing) JSONL trace, snapshot by snapshot.
+) -> Iterator[PacketBatch]:
+    """Follow a (possibly still growing) JSONL trace, one chunk per read.
 
-    Yields one :class:`~repro.traces.records.SnapshotRow` per complete
-    line as it lands in the file — the packet source a live ``vn2 watch``
-    consumes.  Partial lines (a writer mid-append) are buffered until
-    their newline arrives; a truncated file (trace rollover) restarts the
+    Yields one :class:`~repro.traces.frame.PacketBatch` of the complete
+    lines each read of the file brought, in file order (a read with no
+    complete row yields nothing) — the packet source a live ``vn2 watch``
+    consumes.  A partial line (a writer mid-append) is kept until its
+    newline arrives; a truncated file (trace rollover) restarts the
     reader from the new beginning.
 
     Args:
@@ -488,26 +473,26 @@ def tail_frame_jsonl(
     m_rows = get_registry().counter(
         "repro_io_tail_rows_total", "Snapshot rows yielded by JSONL tails"
     )
-    buffer = ""
+    partial = ""
     saw_header = False
     idle = 0.0
     with path.open("r", encoding="utf-8") as fh:
         while True:
-            chunk = fh.read(65536)
-            if chunk:
+            data = fh.read(65536)
+            if data:
                 idle = 0.0
-                buffer += chunk
-                while "\n" in buffer:
-                    line, buffer = buffer.split("\n", 1)
-                    if not line.strip():
-                        continue
-                    obj = json.loads(line)
-                    if not saw_header:
-                        _check_header(obj, path)
-                        saw_header = True
-                        continue
-                    m_rows.inc()
-                    yield row_from_obj(obj)
+                lines = (partial + data).split("\n")
+                partial = lines.pop()
+                rows = [json.loads(line) for line in lines if line.strip()]
+                if rows and not saw_header:
+                    _check_header(rows.pop(0), path)
+                    saw_header = True
+                if rows:
+                    m_rows.inc(len(rows))
+                    yield PacketBatch.from_packets([
+                        (r["node_id"], r["epoch"], r["generated_at"], r["values"])
+                        for r in rows
+                    ])
                 continue
             if not follow:
                 return
@@ -517,7 +502,7 @@ def tail_frame_jsonl(
                 if os.stat(path).st_size < fh.tell():
                     # Truncated under us (rollover): restart from the top.
                     fh.seek(0)
-                    buffer = ""
+                    partial = ""
                     saw_header = False
                     continue
             except OSError:

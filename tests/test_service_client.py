@@ -118,12 +118,15 @@ class _FlakySink(threading.Thread):
     Every connection gets a hello.  The first ``drop_first`` connections
     read one line and close without replying — exactly the ack-never-
     arrived case the SDK must recover from by reconnecting and resending.
-    Later connections ack every ingest normally.
+    With ``hold``, they keep the connection open instead, until the
+    client's ack timeout gives up on it.  Later connections ack every
+    ingest normally.
     """
 
-    def __init__(self, drop_first: int = 1):
+    def __init__(self, drop_first: int = 1, hold: bool = False):
         super().__init__(daemon=True)
         self.drop_first = drop_first
+        self.hold = hold
         self.seen_batches = []
         self.listener = socket.create_server(("127.0.0.1", 0))
         self.port = self.listener.getsockname()[1]
@@ -138,8 +141,9 @@ class _FlakySink(threading.Thread):
                 return
             self._accepted += 1
             drop = self._accepted <= self.drop_first
-            with conn:
-                file = conn.makefile("rwb")
+            # The file holds its own reference to the socket: close both,
+            # or a dropped connection stays open.
+            with conn, conn.makefile("rwb") as file:
                 file.write(protocol.encode(protocol.hello()))
                 file.flush()
                 while True:
@@ -151,6 +155,8 @@ class _FlakySink(threading.Thread):
                         [p["epoch"] for p in msg["packets"]]
                     )
                     if drop:
+                        if self.hold:
+                            file.readline()  # until the client hangs up
                         break  # close without acking
                     file.write(protocol.encode(protocol.ack(
                         msg["seq"], accepted=len(msg["packets"]),
@@ -202,6 +208,20 @@ def test_reconnect_survives_several_consecutive_drops():
     assert result.accepted == 2
     assert result.reconnects >= 3
     assert len(sink.seen_batches) == 4
+
+
+def test_reconnect_after_ack_timeout_resends_unacked_batch():
+    sink = _FlakySink(drop_first=1, hold=True)
+    try:
+        client = ServiceClient(port=sink.port, backoff=_fast_backoff(),
+                               rng=random.Random(0), timeout=0.2)
+        result = client.submit("city-a", _packets(3))
+        client.close()
+    finally:
+        sink.close()
+    assert result.accepted == 3
+    assert result.reconnects >= 1
+    assert sink.seen_batches == [[0, 1, 2], [0, 1, 2]]
 
 
 def test_unreachable_port_exhausts_backoff():

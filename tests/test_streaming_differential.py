@@ -4,9 +4,10 @@ For each trace the full diagnosis path runs twice —
 
 * **batch**: ``build_states`` -> ``detect_exceptions`` ->
   ``IncidentAggregator.extract`` (the paper's offline pipeline),
-* **streaming**: packets replayed one at a time in arrival order through
-  ``StreamingStateBuilder`` / ``StreamingExceptionDetector`` /
-  ``StreamingDiagnosisSession`` —
+* **streaming**: packets replayed in arrival order through the
+  per-packet oracle's differencing (``tests/packet_oracle.py``),
+  ``StreamingExceptionDetector`` and ``StreamingDiagnosisSession.process``
+  —
 
 and the two must agree exactly: the same state matrix (bit for bit,
 after reordering the time-major stream into the batch's node-major
@@ -17,9 +18,11 @@ vary at the ULP level with batch composition, which is exactly why the
 incident path (where strengths feed clustering decisions) solves one
 state at a time on both sides.
 
-A second harness holds ``StreamingDiagnosisSession.push_batch`` to the
-``push_packet`` loop over seeded random chunkings: the same events,
-counters, node summaries, incidents, flush and registry counts.
+A second harness holds every entry point of the session's one ingest
+step — ``push_batch`` over seeded random chunkings, one-row
+``push_packet``, ``process`` and ``VN2.diagnose_stream`` — to the
+per-packet oracle: the same updates, events, counters, node summaries,
+incidents, drift, reservoir, flush and registry counts.
 
 The tier-1 run covers the ``tiny`` and ``small`` CitySee presets plus
 the testbed trace; set ``VN2_DIFF_ALL=1`` to additionally sweep the
@@ -37,7 +40,7 @@ import pytest
 from repro.core.exceptions import StreamingExceptionDetector, detect_exceptions
 from repro.core.incidents import IncidentAggregator
 from repro.core.pipeline import VN2, VN2Config
-from repro.core.states import StreamingStateBuilder, build_states, stack_states
+from repro.core.states import build_states, stack_states
 from repro.core.streaming import (
     PacketBatch,
     StreamingDiagnosisSession,
@@ -47,6 +50,8 @@ from repro.obs import MetricsRegistry
 from repro.service.worker import _tracker_doc
 from repro.traces.citysee import CitySeeProfile, generate_citysee_frame
 from repro.traces.frame import as_frame
+
+from .packet_oracle import PacketLoopBuilder, PacketLoopSession
 
 RUN_ALL_PRESETS = os.environ.get("VN2_DIFF_ALL", "") == "1"
 
@@ -116,8 +121,9 @@ def _assert_differential(tool, frame, context):
     threshold = tool.config.exception_threshold
     batch_states = build_states(frame)
 
-    # 1. States: packet-at-a-time replay vs whole-frame differencing.
-    builder = StreamingStateBuilder()
+    # 1. States: the oracle's packet-at-a-time differencing vs the
+    # whole-frame pass.
+    builder = PacketLoopBuilder()
     streamed = []
     for packet in iter_packets(frame):
         state = builder.push(*packet)
@@ -228,7 +234,7 @@ def test_stat_less_model_diagnoses_everything(tmp_path, testbed_tool,
 
 
 # --------------------------------------------------------------------------
-# push_batch == push_packet loop
+# every entry point == the per-packet oracle
 # --------------------------------------------------------------------------
 
 
@@ -273,15 +279,35 @@ def _session_outputs(session, events):
     }
 
 
-def _batch_vs_packets(tool, packets, seed, rotate_to=None, **kwargs):
-    """Run ``packets`` through a push_packet loop and through push_batch
-    over a seeded random chunking; return both sessions' outputs.
+def _update_key(update):
+    """A :class:`StreamUpdate` as plain, ``==``-comparable values."""
+    state, report = update.state, update.report
+    return (
+        None if state is None else (
+            state.values.tobytes(), state.node_id, state.epoch_from,
+            state.epoch_to, state.time_from, state.time_to,
+        ),
+        update.score,
+        bool(update.is_exception),
+        None if report is None else (
+            report.weights.tobytes(), report.ranked, report.residual,
+            report.relative_residual,
+        ),
+        update.observations,
+        update.events,
+    )
 
-    With ``rotate_to``, both sessions switch to that model at the first
-    batch boundary past the middle of the stream.
+
+def _entry_points(tool, packets, seed, rotate_to=None, **kwargs):
+    """Run ``packets`` through the oracle and through every entry point.
+
+    Returns ``{name: (outputs, update keys or None)}``.  ``push_batch``
+    takes a seeded random chunking.  With ``rotate_to``, every session
+    switches to that model at the first batch boundary past the middle
+    of the stream.
     """
-    def make():
-        return StreamingDiagnosisSession(
+    def make(cls=StreamingDiagnosisSession):
+        return cls(
             tool,
             registry=MetricsRegistry(enabled=True),
             metric_labels={"deployment": "d",
@@ -292,37 +318,85 @@ def _batch_vs_packets(tool, packets, seed, rotate_to=None, **kwargs):
         )
 
     chunks = _chunks(len(packets), np.random.default_rng(seed))
-    cut = next((a for a, _ in chunks if a >= len(packets) // 2), None)
-    looped, batched = make(), make()
-    loop_events, batch_events = [], []
-    for index, packet in enumerate(packets):
-        if rotate_to is not None and index == cut:
-            looped.set_model(rotate_to)
-        update = looped.push_packet(*packet)
-        if update is not None:
-            loop_events.extend(update.events)
+    cut = None
+    if rotate_to is not None:
+        cut = next(a for a, _ in chunks if a >= len(packets) // 2)
+    halves = [packets] if cut is None else [packets[:cut], packets[cut:]]
+
+    def one_at_a_time(session):
+        updates = []
+        for index, packet in enumerate(packets):
+            if index == cut:
+                session.set_model(rotate_to)
+            update = session.push_packet(*packet)
+            if update is not None:
+                updates.append(update)
+        return updates
+
+    def processed(session):
+        updates = []
+        for i, half in enumerate(halves):
+            if i:
+                session.set_model(rotate_to)
+            updates.extend(session.process(half))
+        return updates
+
+    runs = {}
+    for name, cls, run in (
+        ("oracle", PacketLoopSession, one_at_a_time),
+        ("push_packet", StreamingDiagnosisSession, one_at_a_time),
+        ("process", StreamingDiagnosisSession, processed),
+    ):
+        session = make(cls)
+        updates = run(session)
+        events = [e for u in updates for e in u.events]
+        runs[name] = (_session_outputs(session, events),
+                      [_update_key(u) for u in updates])
+    batched, events = make(), []
     for start, end in chunks:
-        if rotate_to is not None and start == cut:
+        if start == cut:
             batched.set_model(rotate_to)
-        batch_events.extend(
+        events.extend(
             batched.push_batch(PacketBatch.from_packets(packets[start:end]))
         )
-    return (_session_outputs(looped, loop_events),
-            _session_outputs(batched, batch_events))
+    runs["push_batch"] = (_session_outputs(batched, events), None)
+    return runs
 
 
-def _assert_same_outputs(expected, got):
+def _assert_same_outputs(runs):
+    expected, expected_updates = runs["oracle"]
     assert expected["events"], "workload emitted no incident events"
-    for key in expected:
-        assert got[key] == expected[key], key
+    for name, (got, updates) in runs.items():
+        for key in expected:
+            assert got[key] == expected[key], (name, key)
+        if updates is not None:
+            assert updates == expected_updates, name
+
+
+def _assert_diagnose_stream_matches(tool, packets, **kwargs):
+    """``VN2.diagnose_stream`` yields the oracle's updates, then one
+    flush update."""
+    oracle = PacketLoopSession(tool, **kwargs)
+    expected = [_update_key(u) for u in oracle.process(packets)]
+    closing = oracle.finish()
+    got = [_update_key(u) for u in tool.diagnose_stream(packets, **kwargs)]
+    if closing:
+        flush = got.pop()
+        assert flush == (None, None, False, None, [], closing)
+    assert got == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_push_batch_matches_push_packet(seed, testbed_tool, testbed_trace):
     packets = list(iter_packets(as_frame(testbed_trace)))
-    expected, got = _batch_vs_packets(testbed_tool, packets, seed)
-    _assert_same_outputs(expected, got)
-    assert expected["counters"]["exceptions"] > 0
+    runs = _entry_points(testbed_tool, packets, seed)
+    _assert_same_outputs(runs)
+    assert runs["oracle"][0]["counters"]["exceptions"] > 0
+    if seed == 0:
+        _assert_diagnose_stream_matches(testbed_tool, packets)
+        _assert_diagnose_stream_matches(
+            testbed_tool, as_frame(testbed_trace)
+        )
 
 
 def _shuffled_arrivals(packets, rng):
@@ -354,8 +428,9 @@ def test_push_batch_matches_on_disordered_lossy_stream(
         if rng.random() > 0.15  # loss opens epoch gaps
     ]
     packets = _shuffled_arrivals(packets, rng)
-    expected, got = _batch_vs_packets(testbed_tool, packets, 5, **kwargs)
-    _assert_same_outputs(expected, got)
+    _assert_same_outputs(_entry_points(testbed_tool, packets, 5, **kwargs))
+    if "per_epoch_rate" not in kwargs:  # not a diagnose_stream knob
+        _assert_diagnose_stream_matches(testbed_tool, packets, **kwargs)
 
 
 def test_push_batch_matches_with_stat_less_model(
@@ -363,21 +438,23 @@ def test_push_batch_matches_with_stat_less_model(
 ):
     legacy = _legacy_model(testbed_tool, tmp_path / "model")
     packets = list(iter_packets(as_frame(testbed_trace)))[:1500]
-    expected, got = _batch_vs_packets(legacy, packets, 3)
-    _assert_same_outputs(expected, got)
-    assert expected["counters"]["exceptions"] == expected["counters"]["states"]
+    runs = _entry_points(legacy, packets, 3)
+    _assert_same_outputs(runs)
+    counters = runs["oracle"][0]["counters"]
+    assert counters["exceptions"] == counters["states"]
+    _assert_diagnose_stream_matches(legacy, packets)
 
 
 def test_push_batch_matches_across_set_model(testbed_tool, testbed_trace):
     rotated = VN2(VN2Config(rank=6)).fit(as_frame(testbed_trace))
     packets = list(iter_packets(as_frame(testbed_trace)))
-    expected, got = _batch_vs_packets(
-        testbed_tool, packets, 4, rotate_to=rotated
-    )
-    _assert_same_outputs(expected, got)
+    runs = _entry_points(testbed_tool, packets, 4, rotate_to=rotated)
+    _assert_same_outputs(runs)
     labels = {
         tuple(sorted(series["labels"].items()))
-        for series in got["registry"]["repro_streaming_states_total"]
+        for series in runs["push_batch"][0]["registry"][
+            "repro_streaming_states_total"
+        ]
     }
     assert len(labels) == 2  # one series per model version
 

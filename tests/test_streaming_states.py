@@ -1,9 +1,11 @@
 """StreamingStateBuilder: per-packet, chunked and batch paths agree.
 
-The engine's foundational contract: ``push`` (packet at a time),
-``push_frame`` (chunk at a time) and ``build_states`` (whole frame) emit
-the same states with bit-identical values, and the per-node cache gives
-the builder bounded memory regardless of stream length.
+The engine's foundational contract: ``push`` (a one-row
+``push_columns``), ``push_frame`` (chunk at a time) and ``build_states``
+(whole frame) emit the same states, bit for bit, as the per-packet
+oracle's differencing loop (``tests/packet_oracle.py``), and the
+per-node cache gives the builder bounded memory regardless of stream
+length.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from repro.core.states import (
 )
 from repro.metrics.catalog import NUM_METRICS
 from repro.traces.frame import TraceFrame, as_frame
+
+from .packet_oracle import PacketLoopBuilder
 
 
 def _make_frame(rows):
@@ -62,16 +66,17 @@ def test_push_matches_push_frame_and_batch(kwargs):
     rng = np.random.default_rng(3)
     frame = _make_frame(_random_rows(rng))
 
-    per_packet = StreamingStateBuilder(**kwargs)
-    streamed = []
-    for i in range(len(frame)):
-        state = per_packet.push(
-            frame.node_ids[i], frame.epochs[i], frame.generated_at[i], frame.values[i]
-        )
-        if state is not None:
-            streamed.append(state)
     batch = build_states(frame, **kwargs)
-    _assert_states_equal(stack_states(streamed), batch)
+    for builder in (PacketLoopBuilder(**kwargs), StreamingStateBuilder(**kwargs)):
+        streamed = []
+        for i in range(len(frame)):
+            state = builder.push(
+                frame.node_ids[i], frame.epochs[i], frame.generated_at[i],
+                frame.values[i],
+            )
+            if state is not None:
+                streamed.append(state)
+        _assert_states_equal(stack_states(streamed), batch)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 1000])

@@ -1,9 +1,10 @@
 """Chunked and tailing trace readers: bounded-memory IO equals full loads.
 
 ``iter_frame_chunks`` must reproduce ``load_frame`` column for column at
-any chunk size and for both codecs, and ``tail_frame_jsonl`` must keep up
-with a concurrently appending writer — the two ingestion paths behind
-``vn2 watch`` and the streaming benchmark.
+any chunk size and for both codecs, and ``tail_frame_jsonl``'s per-read
+chunks must keep up with a concurrently appending writer and survive a
+truncation — the two ingestion paths behind ``vn2 watch`` and the
+streaming benchmark.
 """
 
 from __future__ import annotations
@@ -77,14 +78,26 @@ def _row_dict(frame, i):
     }
 
 
+def _tailed(chunks):
+    """Tail chunks concatenated into (node_ids, epochs, generated_at,
+    values) columns."""
+    chunks = list(chunks)
+    assert all(len(chunk) for chunk in chunks), "empty chunk yielded"
+    return [np.concatenate([getattr(c, name) for c in chunks])
+            for name in ("node_ids", "epochs", "generated_at", "values")]
+
+
 def test_tail_reads_static_file_without_follow(frame, tmp_path):
     path = tmp_path / "static.jsonl"
     save_frame(frame, path, fmt="jsonl")
     loaded = load_frame(path)
-    rows = list(tail_frame_jsonl(path, follow=False))
-    assert len(rows) == len(frame)
-    assert rows[0].node_id == int(frame.node_ids[0])
-    assert np.array_equal(rows[-1].values, loaded.values[-1])
+    chunks = list(tail_frame_jsonl(path, follow=False))
+    assert len(chunks) > 1  # one chunk per 64 KiB read, not one per file
+    node_ids, epochs, generated_at, values = _tailed(chunks)
+    assert np.array_equal(node_ids, loaded.node_ids)
+    assert np.array_equal(epochs, loaded.epochs)
+    assert np.array_equal(generated_at, loaded.generated_at)
+    assert np.array_equal(values, loaded.values)
 
 
 def test_tail_follows_growing_file(frame, tmp_path):
@@ -109,16 +122,15 @@ def test_tail_follows_growing_file(frame, tmp_path):
     thread = threading.Thread(target=writer)
     thread.start()
     try:
-        rows = list(
+        node_ids, epochs, _generated_at, values = _tailed(
             tail_frame_jsonl(path, poll_s=0.05, idle_timeout=5.0)
         )
     finally:
         thread.join()
-    assert len(rows) == n_rows
-    for i, row in enumerate(rows):
-        assert row.node_id == int(frame.node_ids[i])
-        assert row.epoch == int(frame.epochs[i])
-        assert np.array_equal(row.values, frame.values[i])
+    assert len(node_ids) == n_rows
+    assert np.array_equal(node_ids, frame.node_ids[:n_rows])
+    assert np.array_equal(epochs, frame.epochs[:n_rows])
+    assert np.array_equal(values, frame.values[:n_rows])
 
 
 def read_header_obj(frame):
@@ -137,9 +149,33 @@ def test_tail_stop_callable_ends_follow(frame, tmp_path):
     path = tmp_path / "stopped.jsonl"
     save_frame(frame, path, fmt="jsonl")
     seen = []
-    rows = tail_frame_jsonl(
+    chunks = tail_frame_jsonl(
         path, poll_s=0.01, stop=lambda: len(seen) >= 0  # stop at first EOF
     )
-    for row in rows:
-        seen.append(row)
+    for chunk in chunks:
+        seen.extend(chunk.epochs.tolist())
     assert len(seen) == len(frame)
+
+
+def test_tail_restarts_after_truncation(frame, tmp_path):
+    """A file truncated under the tail (rollover) is read again from its
+    new header, and a partial line held from before is dropped."""
+    path = tmp_path / "rolled.jsonl"
+    header = json.dumps(read_header_obj(frame))
+    first = [json.dumps(_row_dict(frame, i)) for i in range(3)]
+    second = [json.dumps(_row_dict(frame, i)) for i in range(10, 12)]
+    path.write_text(header + "\n" + "\n".join(first) + "\n" + first[0][:40])
+    polls = []
+
+    def roll():
+        polls.append(None)
+        if len(polls) == 1:  # first EOF: roll the file over, shorter
+            path.write_text(header + "\n" + "\n".join(second) + "\n")
+            return False
+        return True
+
+    chunks = tail_frame_jsonl(path, poll_s=0.01, stop=roll)
+    node_ids, epochs, _generated_at, _values = _tailed(chunks)
+    rows = [*range(3), *range(10, 12)]
+    assert node_ids.tolist() == frame.node_ids[rows].tolist()
+    assert epochs.tolist() == frame.epochs[rows].tolist()

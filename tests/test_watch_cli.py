@@ -3,19 +3,24 @@
 Runs the real ``main()`` entry point in-process against saved models and
 trace files on disk — no-follow batch replay, follow mode against a
 background writer, the JSONL event log (``--output`` and
-``$VN2_WATCH_LOG``), and the failure path for a missing trace.
+``$VN2_WATCH_LOG``, byte for byte against the per-packet oracle), and the
+failure path for a missing trace.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from operator import itemgetter
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _event_json, main
+from repro.core.pipeline import VN2
 from repro.traces.frame import as_frame
-from repro.traces.io import save_frame
+from repro.traces.io import read_frame_header, save_frame
+
+from .packet_oracle import PacketLoopSession
 
 EVENT_KEYS = {
     "kind", "incident_id", "time", "hazard", "node_ids", "start", "end",
@@ -63,6 +68,44 @@ def test_watch_no_follow_smoke(watch_env, tmp_path, capsys):
     opened = [e["incident_id"] for e in events if e["kind"] == "open"]
     closed = [e["incident_id"] for e in events if e["kind"] == "close"]
     assert sorted(opened) == sorted(closed)  # finish() flushes every open
+
+
+@pytest.mark.parametrize("order", ["node-major", "arrival"])
+def test_watch_log_is_byte_identical_to_the_oracle(watch_env, tmp_path,
+                                                   capsys, order):
+    """The log holds exactly the oracle's events over the file's rows in
+    file order, whatever that order is."""
+    model, source = watch_env
+    header, *lines = source.read_text().splitlines()
+    if order == "arrival":
+        arrival = itemgetter("generated_at", "node_id", "epoch")
+        lines.sort(key=lambda line: arrival(json.loads(line)))
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("\n".join([header, *lines]) + "\n")
+    log = tmp_path / "incidents.jsonl"
+    assert main([
+        "watch", str(trace), "--model", str(model),
+        "--no-follow", "--output", str(log),
+    ]) == 0
+    capsys.readouterr()
+
+    positions = {
+        int(k): tuple(v)
+        for k, v in read_frame_header(trace)["metadata"]["positions"].items()
+    }
+    oracle = PacketLoopSession(VN2.load(model), positions=positions)
+    events = []
+    for line in lines:
+        row = json.loads(line)
+        update = oracle.push_packet(
+            row["node_id"], row["epoch"], row["generated_at"], row["values"]
+        )
+        if update is not None:
+            events.extend(update.events)
+    events.extend(oracle.finish())
+    assert events
+    expected = "".join(_event_json(event) + "\n" for event in events)
+    assert log.read_bytes() == expected.encode("utf-8")
 
 
 def test_watch_env_var_names_the_log(watch_env, tmp_path, monkeypatch):
