@@ -30,6 +30,7 @@ incident peak/total strengths).
 
 from __future__ import annotations
 
+import bisect
 import math
 import weakref
 from dataclasses import dataclass
@@ -38,8 +39,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.obs import MetricsRegistry, get_registry
-from repro.core.inference import infer_weights_batch, sparsify_inferred
 from repro.core.pipeline import VN2
+from repro.core.sparsify import check_retention
 from repro.core.states import StateMatrix
 
 
@@ -110,13 +111,18 @@ def observation_weights(
 ) -> np.ndarray:
     """Sparsified NNLS weights of ONE state — the canonical per-state solve.
 
-    Both the batch aggregator and the streaming session call this, one
-    state at a time, so incident strengths are bit-identical across the
-    two paths regardless of how states are batched.
+    Both the batch aggregator and the streaming session solve one state
+    at a time through the model's
+    :class:`~repro.core.plan.DiagnosisPlan`, so incident strengths are
+    bit-identical across the two paths regardless of how states are
+    batched.
     """
-    normalized = tool._normalize_states(np.asarray(values, dtype=float).ravel())
-    weights, _residuals = infer_weights_batch(tool.nmf_.Psi, normalized)
-    return sparsify_inferred(weights, retention=retention)[0]
+    check_retention(retention)
+    plan = tool.plan
+    weights, _residual = plan.solve(
+        plan.normalize(np.asarray(values, dtype=float).ravel())
+    )
+    return plan.sparsify(weights, retention)
 
 
 def observations_for_state(
@@ -138,28 +144,14 @@ def observations_for_state(
         min_strength: Observations below this NNLS strength are dropped.
         retention: Row-wise Algorithm 2 retention for the weights.
         weights: Pre-computed :func:`observation_weights` of the state, if
-            the caller already solved it (the streaming session reuses one
-            solve for the diagnosis report and the observations).
+            the caller already solved it.
     """
     if weights is None:
         weights = observation_weights(tool, values, retention=retention)
-    labels = tool.labels
-    out: List[Observation] = []
-    for j in np.flatnonzero(weights >= min_strength):
-        label = labels[int(j)]
-        if label.is_baseline or label.primary_hazard is None:
-            continue
-        out.append(
-            Observation(
-                node_id=int(node_id),
-                time_from=float(time_from),
-                time_to=float(time_to),
-                cause_index=int(j),
-                hazard=label.primary_hazard,
-                strength=float(weights[int(j)]),
-            )
-        )
-    return out
+    return tool.plan.observations(
+        np.asarray(weights, dtype=float).ravel(),
+        int(node_id), float(time_from), float(time_to), min_strength,
+    )
 
 
 @dataclass
@@ -308,7 +300,7 @@ class IncidentTracker:
     def _snapshot(cluster: dict) -> Incident:
         return Incident(
             hazard=cluster["hazard"],
-            node_ids=tuple(sorted(cluster["nodes"])),
+            node_ids=tuple(cluster["nodes"]),
             start=cluster["start"],
             end=cluster["end"],
             peak_strength=cluster["peak"],
@@ -342,14 +334,17 @@ class IncidentTracker:
 
         home = None
         for cluster in clusters:
-            if self._near(obs.node_id, tuple(cluster["nodes"])):
+            if self._near(obs.node_id, cluster["nodes"]):
                 home = cluster
                 break
         if home is None:
+            # "nodes" stays sorted (the snapshot's order); "members" is
+            # the same ids as a set, for the join test.
             home = {
                 "id": self._next_id,
                 "hazard": obs.hazard,
-                "nodes": {obs.node_id},
+                "nodes": [obs.node_id],
+                "members": {obs.node_id},
                 "start": obs.time_from,
                 "end": obs.time_to,
                 "peak": obs.strength,
@@ -363,7 +358,9 @@ class IncidentTracker:
                 IncidentEvent("open", self._snapshot(home), home["id"], obs.time_to)
             )
         else:
-            home["nodes"].add(obs.node_id)
+            if obs.node_id not in home["members"]:
+                home["members"].add(obs.node_id)
+                bisect.insort(home["nodes"], obs.node_id)
             home["start"] = min(home["start"], obs.time_from)
             home["end"] = max(home["end"], obs.time_to)
             home["peak"] = max(home["peak"], obs.strength)

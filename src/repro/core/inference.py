@@ -15,15 +15,16 @@ import time
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
+from scipy.linalg import cho_solve, get_lapack_funcs
 from scipy.optimize import nnls
 
 from repro.core.sparsify import _check_weights, _row_mass_mask
 from repro.obs import get_registry
 
-#: LAPACK ``dpotrs`` (triangular solves against a Cholesky factor), the
-#: routine ``cho_solve`` ends in, resolved once for float64 operands.
-(_potrs,) = get_lapack_funcs(("potrs",), (np.zeros((1, 1)),))
+#: LAPACK ``dpotrf`` (Cholesky factorization) and ``dpotrs`` (triangular
+#: solves against the factor), the routines ``cho_factor`` and
+#: ``cho_solve`` end in, resolved once for float64 operands.
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.zeros((1, 1)),))
 
 
 def infer_single(Psi: np.ndarray, state: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -85,8 +86,8 @@ class NNLSSolverCache:
     session diagnosing packet after packet against one model keeps
     recomputing the same handful of Cholesky factors (supports cluster
     around the model's active causes).  A warm-started session hands this
-    cache to :func:`infer_weights_batch` so repeat patterns skip straight
-    to the triangular solves.
+    cache to every solve (:meth:`repro.core.plan.DiagnosisPlan.solve`)
+    so repeat patterns skip straight to the triangular solves.
 
     A cached factor is byte-for-byte the factor a cold call would have
     computed from the same Ψ, so the cache changes solve *speed*, never
@@ -132,9 +133,10 @@ class NNLSMetrics:
     Bound once per caller (docs/observability.md: never create metrics
     inside the hot loop).  A :class:`StreamingDiagnosisSession` binds one
     against its own registry and labels and hands it to every
-    :func:`infer_weights_batch` call, so a sink worker's solves land in
-    the registry the sink serves; callers that pass none (fit,
-    ``diagnose_batch``) record in the process-default registry.
+    :meth:`~repro.core.plan.DiagnosisPlan.solve`, so a sink worker's
+    solves land in the registry the sink serves; callers that pass none
+    (fit, ``VN2.diagnose``, ``diagnose_batch``) record in the
+    process-default registry.
     """
 
     __slots__ = ("batches", "states", "warm_starts", "seconds")
@@ -176,12 +178,20 @@ def _pattern_factor(AtA: np.ndarray, passive: np.ndarray):
     the design matrix.  Both outcomes are deterministic in the pattern,
     so cached and fresh factors solve to identical bits.
     """
-    try:
-        return "chol", cho_factor(
-            AtA[np.ix_(passive, passive)], check_finite=False
-        )
-    except np.linalg.LinAlgError:
+    # cho_factor(block, check_finite=False) minus its batch wrapper: the
+    # same upper factor with the other triangle left as it was.
+    c, info = _potrf(
+        AtA[np.ix_(passive, passive)], lower=False, overwrite_a=False,
+        clean=False,
+    )
+    if info > 0:  # a leading minor is not positive definite
         return "lstsq", None
+    if info < 0:
+        raise ValueError(
+            f"LAPACK reported an illegal value in {-info}-th argument "
+            'on entry to "POTRF".'
+        )
+    return "chol", (c, False)
 
 
 def _cached_factor(
@@ -390,9 +400,10 @@ def infer_weights_batch(
     result satisfies the same KKT conditions scipy's ``nnls`` solves to,
     so weights agree with :func:`infer_single` to within solver round-off.
 
-    A single state (``states`` with one row — every per-state solve a
-    streaming session makes) runs a one-column pivoting loop instead of
-    the vectorized sweep.  It performs the same floating-point operations
+    A single state (``states`` with one row) runs the one-column pivoting
+    loop every per-state solve uses (see
+    :meth:`repro.core.plan.DiagnosisPlan.solve`) instead of the
+    vectorized sweep.  It performs the same floating-point operations
     on same-shaped operands, so its output is bit-identical to the sweep
     on that column; only the per-column bookkeeping is cheaper.
 

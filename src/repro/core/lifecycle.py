@@ -159,6 +159,7 @@ def incremental_refit(
             usage=usage,
         )
     tool._model_version = None
+    tool._plan = None
     registry = get_registry()
     registry.counter(
         "repro_core_refits_total", "Incremental VN2 refits performed"

@@ -24,16 +24,15 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.obs import get_registry, span
 from repro.core.exceptions import ExceptionSet, detect_exceptions
-from repro.core.inference import (
-    active_causes,
-    infer_weights_batch,
-)
+from repro.core.inference import infer_weights_batch
 from repro.core.interpretation import RootCauseInterpreter, RootCauseLabel
 from repro.core.nmf import NMFResult, nmf
 from repro.core.normalization import MinMaxNormalizer
@@ -43,6 +42,9 @@ from repro.core.states import StateMatrix, build_states
 from repro.metrics.catalog import NUM_METRICS
 from repro.traces.frame import TraceFrame
 from repro.traces.records import Trace
+
+if TYPE_CHECKING:
+    from repro.core.plan import DiagnosisPlan
 
 
 class ModelIntegrityError(ValueError):
@@ -200,6 +202,9 @@ class VN2:
         # content-hash version of the fitted payload (lazy; see
         # ``model_version``); invalidated by anything that refits.
         self._model_version: Optional[str] = None
+        # the model's DiagnosisPlan (lazy; see ``plan``); dropped together
+        # with ``_model_version``.
+        self._plan = None
         #: Per-stage wall-clock seconds of the latest fit / batch call
         #: (keys: states, exceptions, nmf, sparsify, nnls).
         self.timings_: Dict[str, float] = {}
@@ -237,6 +242,7 @@ class VN2:
         self.states_ = states
         self.timings_ = {}
         self._model_version = None
+        self._plan = None
 
         # Deviation statistics for online exception scoring: mean/std of
         # every metric over the training states and the largest training
@@ -427,6 +433,21 @@ class VN2:
             )
         return self._model_version
 
+    @property
+    def plan(self) -> "DiagnosisPlan":
+        """The fitted model's :class:`~repro.core.plan.DiagnosisPlan`.
+
+        Built on first use and kept until a refit drops it (wherever
+        :attr:`model_version` is reset), so every diagnosis against this
+        model shares one set of model-only arrays.
+        """
+        plan = self._plan
+        if plan is None:
+            from repro.core.plan import DiagnosisPlan
+
+            plan = self._plan = DiagnosisPlan(self)
+        return plan
+
     def explain(self, index: int) -> RootCauseLabel:
         """Interpretation of root-cause vector ``Ψ[index]`` (0-based)."""
         self._require_fitted()
@@ -468,25 +489,10 @@ class VN2:
     def _build_report(
         self, weights: np.ndarray, residual: float, state_norm: float
     ) -> DiagnosisReport:
-        significant = active_causes(weights, self.config.min_weight_fraction)
-        ranked = sorted(
-            (
-                RankedCause(
-                    index=int(j),
-                    strength=float(weights[j]),
-                    label=self.labels_[int(j)],
-                )
-                for j in significant
-            ),
-            key=lambda c: c.strength,
-            reverse=True,
-        )
-        return DiagnosisReport(
-            weights=weights,
-            ranked=ranked,
-            residual=float(residual),
-            relative_residual=residual / state_norm if state_norm > 0 else 0.0,
-        )
+        """:meth:`DiagnosisPlan.report <repro.core.plan.DiagnosisPlan.report>`
+        of this model.  No diagnosis path calls it; it stays because
+        ``sinkbench/traced_serve.py`` wraps it by name."""
+        return self.plan.report(weights, residual, state_norm)
 
     def diagnose(self, state: np.ndarray) -> DiagnosisReport:
         """Attribute one 43-metric state delta to root causes (Problem 3).
@@ -501,15 +507,14 @@ class VN2:
             raise ValueError(
                 f"state must have {NUM_METRICS} metrics, got {state.shape[0]}"
             )
-        normalized = self._normalize_states(state)
+        plan = self.plan
+        normalized = plan.normalize(state)
         # The normalizer clips ±inf but passes NaN, which the pivoting
         # loop would turn into all-zero weights and a NaN residual.
         if not np.all(np.isfinite(normalized)):
             raise ValueError("state must not contain NaN")
-        weights, residuals = infer_weights_batch(self.nmf_.Psi, normalized)
-        return self._build_report(
-            weights[0], float(residuals[0]), float(np.linalg.norm(normalized[0]))
-        )
+        weights, residual = plan.solve(normalized)
+        return plan.report(weights, residual, plan.state_norm(normalized))
 
     def diagnose_batch(
         self, states: Union[StateMatrix, np.ndarray]
@@ -535,8 +540,9 @@ class VN2:
             weights, residuals = infer_weights_batch(self.nmf_.Psi, normalized)
         self.timings_["nnls"] = sp.wall_s
         norms = np.linalg.norm(normalized, axis=1)
+        report = self.plan.report
         return [
-            self._build_report(weights[i], float(residuals[i]), float(norms[i]))
+            report(weights[i], float(residuals[i]), float(norms[i]))
             for i in range(values.shape[0])
         ]
 

@@ -71,12 +71,17 @@ def sparsify_weights(
     )
 
 
+def check_retention(retention: float) -> None:
+    """Reject a retention Algorithm 2 cannot take."""
+    if not (0.0 < retention <= 1.0):
+        raise ValueError(f"retention must be in (0, 1], got {retention}")
+
+
 def _check_weights(W: np.ndarray, retention: float) -> None:
     """Reject a weight matrix or retention that Algorithm 2 cannot take."""
     if W.ndim != 2:
         raise ValueError(f"W must be 2-D, got shape {W.shape}")
-    if not (0.0 < retention <= 1.0):
-        raise ValueError(f"retention must be in (0, 1], got {retention}")
+    check_retention(retention)
     if np.any(W < 0):
         raise ValueError("W must be non-negative (it comes from NMF)")
 

@@ -41,6 +41,7 @@ exactly.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass
@@ -65,15 +66,16 @@ from repro.core.incidents import (
     IncidentEvent,
     IncidentTracker,
     Observation,
-    observations_for_state,
+    observations_for_state,  # noqa: F401 - see below
 )
 from repro.core.inference import (
     NNLSMetrics,
     NNLSSolverCache,
-    infer_weights_batch,
-    sparsify_inferred,
+    infer_weights_batch,  # noqa: F401 - see below
+    sparsify_inferred,  # noqa: F401 - see below
 )
 from repro.core.pipeline import VN2, DiagnosisReport
+from repro.core.sparsify import check_retention
 from repro.core.states import (
     StateMatrix,
     StreamedState,
@@ -82,6 +84,11 @@ from repro.core.states import (
 )
 from repro.traces.frame import Packet, PacketBatch, TraceFrame, as_frame
 from repro.traces.records import SnapshotRow, Trace
+
+# ``observations_for_state``, ``infer_weights_batch`` and
+# ``sparsify_inferred`` are imported but not called: the per-state path
+# runs on the model's DiagnosisPlan, and ``sinkbench/traced_serve.py``
+# still wraps these names on this module.
 
 #: Packets per :class:`PacketBatch` slice when
 #: :meth:`StreamingDiagnosisSession.process` replays a frame or a packet
@@ -339,6 +346,10 @@ class StreamingDiagnosisSession:
             if threshold_ratio is None
             else threshold_ratio
         )
+        # Checked once here: the per-state path trusts both.
+        check_retention(retention)
+        if math.isnan(min_strength):
+            raise ValueError("min_strength must be a number, got nan")
         self.min_strength = min_strength
         self.retention = retention
         self.builder = StreamingStateBuilder(
@@ -427,6 +438,7 @@ class StreamingDiagnosisSession:
 
     def _bind_model(self, tool: VN2) -> None:
         self.tool = tool
+        self._plan = tool.plan
         self._has_stats = getattr(tool, "_train_mean", None) is not None
         self._fallback: Optional[StreamingExceptionDetector] = (
             None
@@ -619,48 +631,35 @@ class StreamingDiagnosisSession:
         :meth:`_push`'s to bump)."""
         if self._reservoir is not None:
             self._reservoir.append(state)
-        # ONE per-state solve — identical to observation_weights(), reused
-        # for the report so batch and stream agree bit for bit on
+        # ONE per-state solve on the model's plan, reused for the report
+        # and the observations, so batch and stream agree bit for bit on
         # observation strengths without a second NNLS.  The node's last
         # solution warm-starts the pivoting (same solution, fewer sweeps).
-        normalized = self.tool._normalize_states(state.values)
-        previous = (
-            self._warm.get(state.node_id, state.epoch_to)
-            if self._warm is not None
-            else None
+        plan = self._plan
+        node_id = state.node_id
+        normalized = plan.normalize(state.values)
+        warm = self._warm
+        previous = None if warm is None else warm.get(node_id, state.epoch_to)
+        weights, residual = plan.solve(
+            normalized, previous, self._solver_cache, self._m_nnls
         )
-        weights, residuals = infer_weights_batch(
-            self.tool.nmf_.Psi,
-            normalized,
-            warm_start=None if previous is None else previous[None, :],
-            solver_cache=self._solver_cache,
-            metrics=self._m_nnls,
-        )
-        if self._warm is not None:
-            self._warm.put(state.node_id, state.epoch_to, weights[0])
-        report = self.tool._build_report(
-            weights[0], float(residuals[0]), float(np.linalg.norm(normalized[0]))
-        )
+        if warm is not None:
+            warm.put(node_id, state.epoch_to, weights)
+        report = plan.report(weights, residual, plan.state_norm(normalized))
         self._drift.append(report.relative_residual)
-        sparse = sparsify_inferred(weights, retention=self.retention)[0]
-        observations = observations_for_state(
-            self.tool,
-            state.values,
-            node_id=state.node_id,
-            time_from=state.time_from,
-            time_to=state.time_to,
-            min_strength=self.min_strength,
-            retention=self.retention,
-            weights=sparse,
+        observations = plan.observations(
+            plan.sparsify(weights, self.retention),
+            node_id, state.time_from, state.time_to, self.min_strength,
         )
-        summary = self._node_summaries[state.node_id]
+        summary = self._node_summaries[node_id]
         if observations:
             top = max(observations, key=lambda o: o.strength)
             summary["hazard"] = top.hazard
             summary["strength"] = float(top.strength)
-        if report.primary is not None:
-            summary["family"] = report.primary.label.family
-        events = [e for obs in observations for e in self.tracker.add(obs)]
+        if report.ranked:
+            summary["family"] = plan.families[report.ranked[0].index]
+        add = self.tracker.add
+        events = [e for obs in observations for e in add(obs)]
         return report, observations, events
 
     @property

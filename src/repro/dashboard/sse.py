@@ -1,10 +1,14 @@
 """Server-sent-events hub: the dashboard's live incident feed.
 
-The hub is *just another subscriber*: it hands the shard backend one
-``asyncio.Queue`` per the existing subscribe contract
+The hub is *just another subscriber*: it subscribes to every deployment
+per the existing subscribe contract
 (:meth:`~repro.service.backends.ShardRouter.subscribe`) and fans the
-arriving event messages out to attached browsers as SSE frames.  Nothing
-in the diagnosis path knows the dashboard exists.
+arriving event lines out to attached browsers as SSE frames.  The lines
+are the bytes a shard worker encoded once for every subscriber; each
+frame is spliced from one of them —
+``b"event: incident\ndata: " + line[:-1] + b"\n\n"``, byte for byte
+what :func:`format_sse` makes of the event message.  Nothing in the
+diagnosis path knows the dashboard exists.
 
 The one invariant that matters is that a stalled browser can never
 backpressure ingest.  Every client gets a *bounded* frame queue; the
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Callable, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 __all__ = ["DashboardHub", "SSEClient", "format_sse"]
 
@@ -35,6 +39,9 @@ _CLOSE = object()
 
 #: Comment frame sent when a client has been idle for a keepalive period.
 KEEPALIVE_FRAME = b": keepalive\n\n"
+
+#: What :func:`format_sse` puts before an incident event's JSON.
+_INCIDENT_HEAD = b"event: incident\ndata: "
 
 #: Per-connection write-buffer bound (transport high-water mark and
 #: ``SO_SNDBUF``) for SSE streams.  Small on purpose: a stalled client's
@@ -87,6 +94,20 @@ class SSEClient:
         return None if frame is _CLOSE else frame
 
 
+class _Feed:
+    """The hub's subscription to one deployment: a subscriber outbox
+    that tags the event lines it receives with the deployment."""
+
+    __slots__ = ("deployment", "outbox")
+
+    def __init__(self, deployment: str, outbox: asyncio.Queue):
+        self.deployment = deployment
+        self.outbox = outbox
+
+    def put_nowait(self, lines: bytes) -> None:
+        self.outbox.put_nowait((self.deployment, lines))
+
+
 class DashboardHub:
     """Subscribe-protocol fan-out to SSE clients (runs on the service loop).
 
@@ -103,7 +124,7 @@ class DashboardHub:
         self.max_queue = max_queue
         self.rescan_s = rescan_s
         self._outbox: Optional[asyncio.Queue] = None
-        self._subscribed: Set[str] = set()
+        self._feeds: Dict[str, _Feed] = {}
         self._clients: Set[SSEClient] = set()
         self._pump: Optional[asyncio.Task] = None
         registry = service.registry
@@ -148,9 +169,9 @@ class DashboardHub:
             self._outbox.put_nowait(_CLOSE)
             await self._pump
             self._pump = None
-        for deployment in self._subscribed:
-            self.service.backend.unsubscribe(deployment, self._outbox)
-        self._subscribed.clear()
+        for deployment, feed in self._feeds.items():
+            self.service.backend.unsubscribe(deployment, feed)
+        self._feeds.clear()
         for client in list(self._clients):
             self._close(client)
         self._clients.clear()
@@ -185,44 +206,48 @@ class DashboardHub:
                 continue
             if message is _CLOSE:
                 return
-            self._broadcast(message)
+            self._broadcast(*message)
 
     def on_deployment(self, deployment: str) -> None:
         """Materialization hook: the backend calls this the moment a new
         shard/route exists, so the hub is subscribed before the first
         batch's events are published (the pump's periodic rescan is just
-        a safety net).  Added to ``_subscribed`` first because
+        a safety net).  Added to ``_feeds`` first because
         ``backend.subscribe`` materializes on miss and would re-enter."""
-        if self._outbox is None or deployment in self._subscribed:
+        if self._outbox is None or deployment in self._feeds:
             return
-        self._subscribed.add(deployment)
-        self.service.backend.subscribe(deployment, self._outbox)
+        feed = self._feeds[deployment] = _Feed(deployment, self._outbox)
+        self.service.backend.subscribe(deployment, feed)
 
     def _rescan(self) -> None:
         """Subscribe to any deployment materialized since the last look.
 
-        The hub wants *all* deployments; a subscriber queue is keyed by
-        identity, so one outbox can subscribe everywhere — exactly like
-        one TCP connection holding several subscriptions.
+        The hub wants *all* deployments; every deployment's feed
+        delivers into the one hub outbox — like one TCP connection
+        holding several subscriptions.
         """
         for deployment in self.service.backend.deployments():
             self.on_deployment(deployment)
 
-    def _broadcast(self, message: dict) -> None:
-        self._m_events.inc()
-        frame = None
+    def _broadcast(self, deployment: str, lines: bytes) -> None:
+        """Fan one batch of a deployment's event lines out as frames."""
+        events = lines[:-1].split(b"\n")  # every line ends in one newline
+        self._m_events.inc(len(events))
+        frames = None
         for client in list(self._clients):
             if (
                 client.deployment is not None
-                and message.get("deployment") != client.deployment
+                and deployment != client.deployment
             ):
                 continue
-            if frame is None:
-                frame = format_sse(message, event="incident")
-            try:
-                client.queue.put_nowait(frame)
-            except asyncio.QueueFull:
-                self._evict(client)
+            if frames is None:
+                frames = [_INCIDENT_HEAD + event + b"\n\n" for event in events]
+            for frame in frames:
+                try:
+                    client.queue.put_nowait(frame)
+                except asyncio.QueueFull:
+                    self._evict(client)
+                    break
 
     # -- eviction ------------------------------------------------------
 

@@ -167,30 +167,18 @@ class ShardRoute:
             ),
         )
 
-    def publish(self, events: List[dict]) -> None:
-        """Fan worker-produced incident-event objects out to subscribers.
+    def publish(self, lines: bytes, n_events: int) -> None:
+        """Fan worker-encoded incident events out to subscribers.
 
-        ``events`` are :func:`protocol.incident_event_obj` dicts exactly
-        as the worker's session emitted them, so the framed messages are
-        byte-identical to :func:`protocol.event_message`'s.
+        ``lines`` are the ``n_events`` wire ``event`` lines the worker's
+        :class:`~repro.service.protocol.EventEncoder` wrote, in emission
+        order; every subscriber's outbox receives the same bytes object.
         """
-        if not events:
+        if not n_events:
             return
-        self.counters.add_events_emitted(len(events))
-        if not self.subscribers:
-            return
-        messages = [
-            {
-                "v": protocol.PROTOCOL_VERSION,
-                "type": "event",
-                "deployment": self.name,
-                "event": event,
-            }
-            for event in events
-        ]
+        self.counters.add_events_emitted(n_events)
         for outbox in self.subscribers:
-            for message in messages:
-                outbox.put_nowait(message)
+            outbox.put_nowait(lines)
 
     def snapshot(self) -> dict:
         """The ``/metrics`` entry for this deployment."""
@@ -424,13 +412,13 @@ class ShardRouter:
                 )
             if message.get("counters"):
                 route.session_counters = message["counters"]
-            route.publish(message.get("events") or [])
+            route.publish(message["lines"], message["n_events"])
         elif mtype == "w_drained":
             route = self.routes.get(message["deployment"])
             if route is not None:
                 if message.get("counters"):
                     route.session_counters = message["counters"]
-                route.publish(message.get("events") or [])
+                route.publish(message["lines"], message["n_events"])
         elif mtype == "w_bye":
             self._dumps[worker_id] = message.get("dump") or {}
             spans = message.get("spans") or []

@@ -44,6 +44,7 @@ all rejected with ``error`` before anything touches a queue.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import re
@@ -349,6 +350,104 @@ def event_message(deployment: str, event) -> dict:
     }
 
 
+#: JSON spellings of the non-finite floats (``json.dumps`` defaults).
+_NONFINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _json_number(value) -> str:
+    """``json.dumps(value)`` for the numbers of an event."""
+    kind = type(value)
+    if kind is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else _NONFINITE[value]
+    if kind is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+class EventEncoder:
+    """One deployment's incident events as final NDJSON ``event`` lines.
+
+    :meth:`encode` returns exactly
+    ``encode(event_message(deployment, event))``, built for the fixed
+    event shape instead of through a dict and ``json.dumps``:
+
+    * the envelope up to the event's ``kind`` is one constant;
+    * each distinct string (kinds, hazard names) is ``json.dumps``-ed
+      once;
+    * finite floats are written by ``float.__repr__`` — what ``json``
+      writes — and non-finite ones as ``NaN``/``Infinity``;
+    * each open incident's sorted node list is kept encoded.  An
+      incident's node set only grows, so an unchanged length is an
+      unchanged list, and a list one longer gained one node, which is
+      spliced in.  The entry is dropped when the incident closes.
+
+    One encoder serves one session's event stream (incident ids are
+    per session).
+    """
+
+    __slots__ = ("_head", "_strings", "_nodes")
+
+    def __init__(self, deployment: str):
+        self._head = (
+            f'{{"v":{PROTOCOL_VERSION},"type":"event",'
+            f'"deployment":{json.dumps(deployment)},"event":{{"kind":'
+        )
+        self._strings: dict = {}
+        #: incident id -> (sorted ids, their encodings, joined text)
+        self._nodes: dict = {}
+
+    def _string(self, value) -> str:
+        text = self._strings.get(value)
+        if text is None:
+            text = self._strings[value] = json.dumps(value)
+        return text
+
+    def _node_list(self, incident_id: int, node_ids, closing: bool) -> str:
+        entry = self._nodes.pop(incident_id, None)
+        if entry is not None and len(entry[0]) == len(node_ids):
+            ids, pieces, text = entry
+        elif entry is not None and len(entry[0]) + 1 == len(node_ids):
+            ids, pieces, _text = entry
+            joined = sum(node_ids) - sum(ids)
+            at = bisect.bisect_left(ids, joined)
+            ids.insert(at, joined)
+            pieces.insert(at, _json_number(joined))
+            text = ",".join(pieces)
+        else:
+            ids = list(node_ids)
+            pieces = [_json_number(node) for node in ids]
+            text = ",".join(pieces)
+        if not closing:
+            self._nodes[incident_id] = (ids, pieces, text)
+        return text
+
+    def encode(self, event) -> bytes:
+        """One event's wire line, newline included."""
+        incident = event.incident
+        number = _json_number
+        nodes = self._node_list(
+            event.incident_id, incident.node_ids, event.kind == "close"
+        )
+        return (
+            f'{self._head}{self._string(event.kind)}'
+            f',"incident_id":{number(event.incident_id)}'
+            f',"time":{number(event.time)}'
+            f',"hazard":{self._string(incident.hazard)}'
+            f',"node_ids":[{nodes}]'
+            f',"start":{number(incident.start)}'
+            f',"end":{number(incident.end)}'
+            f',"peak_strength":{number(incident.peak_strength)}'
+            f',"total_strength":{number(incident.total_strength)}'
+            f',"n_observations":{number(incident.n_observations)}}}}}\n'
+        ).encode()
+
+    def encode_all(self, events) -> bytes:
+        """The lines of ``events``, in order, as one bytes object."""
+        return b"".join([self.encode(event) for event in events])
+
+
 # --------------------------------------------------------------------------
 # internal worker wire messages (front door <-> shard workers)
 # --------------------------------------------------------------------------
@@ -474,18 +573,24 @@ def worker_heartbeat(
 
 def worker_ack(
     deployment: str, batch_id: int, accepted: int,
-    events: list, counters: dict,
+    lines: bytes, n_events: int, counters: dict,
 ) -> dict:
-    """``events`` are :func:`incident_event_obj` dicts in emission order;
+    """``lines`` holds the batch's ``n_events`` incident events as their
+    wire ``event`` lines (:class:`EventEncoder`), in emission order;
     ``counters`` is the shard session's live counter dict."""
     return {"v": PROTOCOL_VERSION, "type": "w_ack",
             "deployment": deployment, "batch_id": batch_id,
-            "accepted": accepted, "events": events, "counters": counters}
+            "accepted": accepted, "lines": lines, "n_events": n_events,
+            "counters": counters}
 
 
-def worker_drained(deployment: str, events: list, counters: dict) -> dict:
+def worker_drained(
+    deployment: str, lines: bytes, n_events: int, counters: dict
+) -> dict:
+    """The flush-close events of a drained shard, as in :func:`worker_ack`."""
     return {"v": PROTOCOL_VERSION, "type": "w_drained",
-            "deployment": deployment, "events": events, "counters": counters}
+            "deployment": deployment, "lines": lines, "n_events": n_events,
+            "counters": counters}
 
 
 def worker_metrics(

@@ -191,22 +191,31 @@ class _Connection:
         self.outbox.put_nowait(message)
 
     async def _write_loop(self) -> None:
+        """Write the outbox: message dicts are encoded here, event lines
+        (bytes a shard worker encoded, see ``ShardRoute.publish``) go out
+        as they are.  Whatever queued up behind the first item goes out
+        in the same ``write``, then the writer drains once."""
+        outbox = self.outbox
         while True:
-            message = await self.outbox.get()
-            if message is _STOP:
-                break
-            self.writer.write(protocol.encode(message))
-            # Coalesce whatever queued up behind it before draining once.
+            item = await outbox.get()
+            chunks = []
+            stop = False
             while True:
+                if item is _STOP:
+                    stop = True
+                    break
+                chunks.append(
+                    item if type(item) is bytes else protocol.encode(item)
+                )
                 try:
-                    message = self.outbox.get_nowait()
+                    item = outbox.get_nowait()
                 except asyncio.QueueEmpty:
                     break
-                if message is _STOP:
-                    await self.writer.drain()
-                    return
-                self.writer.write(protocol.encode(message))
-            await self.writer.drain()
+            if chunks:
+                self.writer.write(b"".join(chunks))
+                await self.writer.drain()
+            if stop:
+                return
 
     async def flush_and_close(self) -> None:
         """Drain the outbox, then close (idempotent; double calls happen

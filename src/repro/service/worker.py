@@ -16,8 +16,10 @@ The messages:
 * ``ingest`` batches arrive **already parsed** (the front door validated
   them once) as one :class:`~repro.core.streaming.PacketBatch`; the
   worker hands it to its session's ``push_batch`` and answers ``w_ack``
-  carrying the incident-event objects the batch emitted, in emission
-  order, plus the session counters.  Both
+  carrying the incident events the batch emitted as their final NDJSON
+  ``event`` lines (one bytes object, in emission order, encoded once by
+  the deployment's :class:`~repro.service.protocol.EventEncoder`), their
+  count, and the session counters.  Both
   transports are FIFO both ways, so one deployment's events reach the
   front door in exactly the order its session produced them — the
   per-deployment ordering guarantee needs nothing more.
@@ -91,6 +93,8 @@ class ShardWorker:
         self.options = dict(options or {})
         self.registry = MetricsRegistry(enabled=True)
         self.sessions: Dict[str, object] = {}
+        #: deployment -> its session's event encoder (same lifetime).
+        self.encoders: Dict[str, protocol.EventEncoder] = {}
         self.n_packets = 0
 
     def session(self, deployment: str):
@@ -115,6 +119,7 @@ class ShardWorker:
                 **kwargs,
             )
             self.sessions[deployment] = session
+            self.encoders[deployment] = protocol.EventEncoder(deployment)
         return session
 
     # -- message handlers (each returns its reply, a list, or None) ----
@@ -129,22 +134,25 @@ class ShardWorker:
         deployment = msg["deployment"]
         session = self.session(deployment)
         batch = msg["batch"]
-        events = [
-            protocol.incident_event_obj(e) for e in session.push_batch(batch)
-        ]
+        events = session.push_batch(batch)
         self.n_packets += len(batch)
         return protocol.worker_ack(
             deployment, msg["batch_id"], len(batch),
-            events, session.counters(),
+            self.encoders[deployment].encode_all(events), len(events),
+            session.counters(),
         )
 
     def handle_drain(self, msg: dict) -> dict:
         deployment = msg["deployment"]
         session = self.sessions.pop(deployment, None)
+        encoder = self.encoders.pop(deployment, None)
         if session is None:
-            return protocol.worker_drained(deployment, [], {})
-        events = [protocol.incident_event_obj(e) for e in session.finish()]
-        return protocol.worker_drained(deployment, events, session.counters())
+            return protocol.worker_drained(deployment, b"", 0, {})
+        events = session.finish()
+        return protocol.worker_drained(
+            deployment, encoder.encode_all(events), len(events),
+            session.counters(),
+        )
 
     def handle_drain_all(self, msg: dict) -> list:
         """Flush every shard: the ``w_drained`` messages, then ``w_bye``."""

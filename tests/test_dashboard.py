@@ -40,6 +40,7 @@ from repro.obs import MetricsRegistry
 from repro.obs.metrics import validate_exposition
 from repro.service.client import ServiceClient, http_get_json
 from repro.service.loadgen import replay_trace
+from repro.service.protocol import encode
 from repro.service.server import ServiceConfig, start_service_thread
 
 
@@ -129,6 +130,17 @@ def _metric_total(handle, name):
     if info is None:
         return None
     return sum(s["value"] for s in info["series"])
+
+
+def _wait_for_metric(handle, name, want, timeout_s=30.0):
+    """Poll a metric total until it reads ``want`` or the deadline
+    passes; return the last reading."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        got = _metric_total(handle, name)
+        if got == want or time.monotonic() > deadline:
+            return got
+        time.sleep(0.02)
 
 
 # --------------------------------------------------------------------------
@@ -302,8 +314,8 @@ def test_hub_evicts_slow_client_unit():
         fast = hub.attach()
         slow = hub.attach(on_close=lambda: closed.append(True))
         for i in range(4):
-            hub._broadcast({"type": "event", "deployment": "d",
-                            "event": {"n": i}})
+            hub._broadcast("d", encode({"type": "event", "deployment": "d",
+                                        "event": {"n": i}}))
             while not fast.queue.empty():  # fast keeps up
                 fast.queue.get_nowait()
         assert slow.evicted and closed == [True]
@@ -347,8 +359,10 @@ def test_hub_deployment_filter_unit():
         await hub.start()
         wants_a = hub.attach(deployment="a")
         wants_all = hub.attach()
-        hub._broadcast({"type": "event", "deployment": "a", "event": {}})
-        hub._broadcast({"type": "event", "deployment": "b", "event": {}})
+        hub._broadcast("a", encode({"type": "event", "deployment": "a",
+                                    "event": {}}))
+        hub._broadcast("b", encode({"type": "event", "deployment": "b",
+                                    "event": {}}))
         sizes = (wants_a.queue.qsize(), wants_all.queue.qsize())
         await hub.stop()
         return sizes
@@ -508,15 +522,17 @@ def test_slow_sse_consumer_evicted_ingest_unaffected(
         ref.close()
 
         assert report.packets_sent == len(test_frame)
+        assert ref_events, "healthy subscriber must be unaffected"
+        # The hub pump may still hold published events: wait until it
+        # has fanned out as many as the healthy subscriber received.
+        events_total = _wait_for_metric(
+            handle, "repro_dashboard_events_total", len(ref_events)
+        )
+        assert events_total == len(ref_events)
         assert _metric_total(
             handle, "repro_dashboard_clients_evicted_total"
         ) == 1
         assert _metric_total(handle, "repro_dashboard_clients") == 0
-        assert ref_events, "healthy subscriber must be unaffected"
-        events_total = _metric_total(
-            handle, "repro_dashboard_events_total"
-        )
-        assert events_total == len(ref_events)
 
         # the server terminated the stalled connection (abort surfaces
         # as EOF or RST depending on what was in flight) — it must not

@@ -8,7 +8,8 @@ so the sweep itself is the oracle: weights, residuals, factor-cache
 hit/miss counts and the recorded NNLS metrics must all be equal.  The
 rare branches (Murty's single flip, the scipy fallback past ``max_iter``,
 the rank-deficient ``lstsq`` solve, cache overflow) are forced and
-counted, so the differential cannot pass vacuously.
+counted, so the differential cannot pass vacuously.  The direct
+``potrf`` factorization is pinned against ``cho_factor``.
 
 Also pinned: the one-row ``sparsify_inferred`` against
 ``sparsify_weights(row_normalize=True)``, ``VN2.diagnose`` against a cold
@@ -185,6 +186,34 @@ def test_rank_deficient_pattern_takes_lstsq_in_both_paths():
         entries.append(sorted(kind for kind, _ in cache.factors.values()))
     assert entries[0] == entries[1]
     assert "lstsq" in entries[0]
+
+
+def test_pattern_factor_is_cho_factor():
+    """The direct ``potrf`` call factors exactly as ``cho_factor`` did,
+    and a block ``cho_factor`` rejects still takes ``lstsq``."""
+    from scipy.linalg import cho_factor
+
+    kinds = set()
+    rng = np.random.default_rng(5)
+    for _name, Psi in _psi_cases():
+        AtA = Psi @ Psi.T
+        r = Psi.shape[0]
+        for _ in range(12):
+            passive = np.flatnonzero(rng.random(r) < 0.7)
+            if passive.size == 0:
+                continue
+            kind, factor = inference._pattern_factor(AtA, passive)
+            kinds.add(kind)
+            try:
+                c, lower = cho_factor(
+                    AtA[np.ix_(passive, passive)], check_finite=False
+                )
+            except np.linalg.LinAlgError:
+                assert (kind, factor) == ("lstsq", None)
+                continue
+            assert kind == "chol" and factor[1] is lower is False
+            assert factor[0].tobytes() == c.tobytes()
+    assert kinds == {"chol", "lstsq"}
 
 
 def test_stream_of_flagged_states_is_bitwise_identical(testbed_tool, testbed_trace):

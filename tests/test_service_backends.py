@@ -73,8 +73,8 @@ def test_worker_message_constructors_validate():
         protocol.incidents_query(4, "city"),
         protocol.worker_hello("w0", 123),
         protocol.worker_heartbeat("w0", 123, 1.0, 2, 100),
-        protocol.worker_ack("city", 7, 64, [], {"packets": 64}),
-        protocol.worker_drained("city", [], {}),
+        protocol.worker_ack("city", 7, 64, b"", 0, {"packets": 64}),
+        protocol.worker_drained("city", b"", 0, {}),
         protocol.worker_metrics(3, "w0", {}, []),
         protocol.worker_incidents(4, "w0", {}),
         protocol.worker_bye("w0", {}),
@@ -167,6 +167,17 @@ def worker_state(testbed_tool):
     return ShardWorker("w9", testbed_tool, {"max_closed_incidents": 100})
 
 
+def _events(reply):
+    """The event objects of a ``w_ack``/``w_drained`` reply's lines."""
+    messages = [protocol.decode(line) for line in reply["lines"].splitlines()]
+    assert all(
+        m["type"] == "event" and m["deployment"] == reply["deployment"]
+        for m in messages
+    )
+    assert len(messages) == reply["n_events"]
+    return [m["event"] for m in messages]
+
+
 def test_shard_worker_ingest_ack_and_drain(testbed_tool, testbed_trace):
     from repro.core.streaming import PacketBatch, iter_packets
     from repro.traces.frame import as_frame
@@ -180,7 +191,9 @@ def test_shard_worker_ingest_ack_and_drain(testbed_tool, testbed_trace):
         ))
         assert ack["type"] == "w_ack" and ack["deployment"] == "city"
         assert ack["accepted"] == len(packets[start:start + 64])
-        events.extend(ack["events"])
+        batch_events = _events(ack)
+        assert len(batch_events) == ack["n_events"]
+        events.extend(batch_events)
     assert state.sessions["city"].n_packets == len(packets)
 
     # Session metrics carry BOTH deployment and worker labels — the fix
@@ -199,10 +212,10 @@ def test_shard_worker_ingest_ack_and_drain(testbed_tool, testbed_trace):
     assert drained["type"] == "w_drained"
     assert "city" not in state.sessions
     # finish() closes whatever was open; every event is a close event.
-    assert all(e["kind"] == "close" for e in drained["events"])
+    assert all(e["kind"] == "close" for e in _events(drained))
     # Draining an unknown deployment is a harmless no-op answer.
     empty = state.handle_drain(protocol.shard_drain("ghost"))
-    assert empty["events"] == [] and empty["counters"] == {}
+    assert _events(empty) == [] and empty["counters"] == {}
 
 
 def test_shard_worker_queries_and_bye(worker_state):
