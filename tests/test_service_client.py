@@ -150,16 +150,14 @@ class _FlakySink(threading.Thread):
                     line = file.readline()
                     if not line:
                         break
-                    msg = json.loads(line)
-                    self.seen_batches.append(
-                        [p["epoch"] for p in msg["packets"]]
-                    )
+                    seq, _, batch = protocol.parse_ingest(json.loads(line))
+                    self.seen_batches.append(batch.epochs.tolist())
                     if drop:
                         if self.hold:
                             file.readline()  # until the client hangs up
                         break  # close without acking
                     file.write(protocol.encode(protocol.ack(
-                        msg["seq"], accepted=len(msg["packets"]),
+                        seq, accepted=len(batch),
                         queued=0,
                     )))
                     file.flush()

@@ -29,7 +29,7 @@ def _packet(**overrides):
 
 
 def _ingest(**overrides):
-    msg = protocol.ingest("city-a", [_packet()], seq=1)
+    msg = protocol.ingest_rows("city-a", [_packet()], seq=1)
     msg.update(overrides)
     return msg
 
@@ -335,7 +335,7 @@ def test_columnar_parse_matches_per_packet_parse():
             packets[at] = _mutate(packets[at], rng)
         # Through the wire text, so NaN/Infinity arrive as JSON literals.
         msg = protocol.decode(protocol.encode(
-            protocol.ingest("city-a", packets, seq=case)
+            protocol.ingest_rows("city-a", packets, seq=case)
         ))
         got, got_error = _outcome(lambda: protocol.parse_ingest(msg))
         want, want_error = _outcome(lambda: [
