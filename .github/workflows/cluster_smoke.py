@@ -36,18 +36,16 @@ from repro.core.streaming import iter_packets
 from repro.obs import validate_exposition
 from repro.service.backends import HashRing
 from repro.service.client import ServiceClient, http_get_json
-from repro.traces.frame import as_frame
 from repro.traces.io import save_frame_jsonl
-from repro.traces.testbed import TestbedScenario, generate_testbed_trace
+from repro.traces.testbed import TestbedScenario, generate_testbed_frame
 
 N_WORKERS = 3
 
 work = Path(os.environ.get("VN2_CLUSTER_DIR", "cluster-smoke"))
 work.mkdir(parents=True, exist_ok=True)
 
-trace = generate_testbed_trace(TestbedScenario.EXPANSIVE, seed=7)
-frame = as_frame(trace)
-VN2(VN2Config(rank=10, filter_exceptions=False)).fit(trace).save(work / "model")
+frame = generate_testbed_frame(TestbedScenario.EXPANSIVE, seed=7)
+VN2(VN2Config(rank=10, filter_exceptions=False)).fit(frame).save(work / "model")
 
 save_frame_jsonl(frame, work / "node-major.jsonl")
 header, *rows = (work / "node-major.jsonl").read_text().splitlines()

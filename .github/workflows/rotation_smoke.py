@@ -37,9 +37,8 @@ from repro.core.pipeline import VN2, VN2Config
 from repro.core.streaming import iter_packets
 from repro.service.backends import HashRing
 from repro.service.client import ServiceClient, http_get_json
-from repro.traces.frame import as_frame
 from repro.traces.io import save_frame_jsonl
-from repro.traces.testbed import TestbedScenario, generate_testbed_trace
+from repro.traces.testbed import TestbedScenario, generate_testbed_frame
 
 N_WORKERS = 3
 
@@ -47,9 +46,8 @@ work = Path(os.environ.get("VN2_ROTATION_DIR", "rotation-smoke"))
 work.mkdir(parents=True, exist_ok=True)
 
 # --- 1. Two versions of the same model: identical arrays, distinct hash.
-trace = generate_testbed_trace(TestbedScenario.EXPANSIVE, seed=7)
-frame = as_frame(trace)
-tool = VN2(VN2Config(rank=10, filter_exceptions=False)).fit(trace)
+frame = generate_testbed_frame(TestbedScenario.EXPANSIVE, seed=7)
+tool = VN2(VN2Config(rank=10, filter_exceptions=False)).fit(frame)
 tool.save(work / "model-a")
 version_a = tool.model_version
 tool.config = replace(

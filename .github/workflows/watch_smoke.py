@@ -18,18 +18,17 @@ import time
 from pathlib import Path
 
 from repro.core.pipeline import VN2, VN2Config
-from repro.traces.frame import as_frame
 from repro.traces.io import save_frame
-from repro.traces.testbed import TestbedScenario, generate_testbed_trace
+from repro.traces.testbed import TestbedScenario, generate_testbed_frame
 
 N_ROWS = 400
 
 work = Path("watch-smoke")
 work.mkdir(exist_ok=True)
 
-trace = generate_testbed_trace(TestbedScenario.EXPANSIVE, seed=7)
-VN2(VN2Config(rank=10, filter_exceptions=False)).fit(trace).save(work / "model")
-save_frame(as_frame(trace), work / "full.jsonl")
+frame = generate_testbed_frame(TestbedScenario.EXPANSIVE, seed=7)
+VN2(VN2Config(rank=10, filter_exceptions=False)).fit(frame).save(work / "model")
+save_frame(frame, work / "full.jsonl")
 lines = (work / "full.jsonl").read_text().splitlines()
 
 live = work / "live.jsonl"

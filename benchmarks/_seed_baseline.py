@@ -6,23 +6,25 @@ been vectorized; a paired "legacy vs frame" benchmark that called the
 rewrite the moment the shared stages got faster.  This module freezes
 the seed implementations the comparison is defined against:
 
-* the row-object JSONL loader (one ``SnapshotRow`` and one numpy vector
-  per line),
+* the row-object JSONL loader (one :class:`SnapshotRow` and one numpy
+  vector per line, into the seed's :class:`SeedTrace` container),
+* the per-node Python state-diff loop over those row objects,
 * the multiplicative-update NMF with a full ``‖V - WΨ‖`` reconstruction
   every sweep,
 * the per-row hazard interpreter (index maps rebuilt per call).
 
-Stages whose implementation is unchanged since the seed — the Python
-state-diff loop, exception detection, min-max normalization and weight
-sparsification — are imported from the library.  ``fit_seed`` mirrors
-the seed's ``VN2.fit_states`` stage order exactly, so its Ψ must match
-the frame path's bit-for-bit (the benchmark asserts this).
+Stages whose implementation is unchanged since the seed — exception
+detection, min-max normalization and weight sparsification — are
+imported from the library.  ``fit_seed`` mirrors the seed's
+``VN2.fit_states`` stage order exactly, so its Ψ must match the frame
+path's (the benchmark asserts this).
 """
 
 from __future__ import annotations
 
 import json
-from typing import List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -31,14 +33,55 @@ from repro.core.interpretation import RootCauseInterpreter
 from repro.core.nmf import _init_nndsvd, frobenius_loss
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.sparsify import sparsify_weights
-from repro.core.states import build_states_python
-from repro.metrics.catalog import HAZARDS, METRIC_NAMES
-from repro.traces.records import GroundTruth, SnapshotRow, Trace
+from repro.core.states import StateMatrix, StateProvenance
+from repro.metrics.catalog import HAZARDS, METRIC_NAMES, NUM_METRICS
+from repro.traces.frame import GroundTruth
 
 _EPS = 1e-10
 
 
-def load_trace_jsonl_seed(path) -> Trace:
+@dataclass
+class SnapshotRow:
+    """The seed's row record: one complete snapshot of one node."""
+
+    node_id: int
+    epoch: int
+    generated_at: float
+    received_at: float
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (NUM_METRICS,):
+            raise ValueError(
+                f"snapshot values must have shape ({NUM_METRICS},), "
+                f"got {self.values.shape}"
+            )
+
+
+@dataclass
+class SeedTrace:
+    """The seed's trace container: row objects sorted by
+    ``(node_id, epoch)``, plus the header's side data."""
+
+    rows: List[SnapshotRow]
+    metadata: Dict[str, object] = field(default_factory=dict)
+    ground_truth: List[GroundTruth] = field(default_factory=list)
+    packets_generated: int = 0
+    packets_received: int = 0
+    arrivals: List[Tuple[float, int]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.rows.sort(key=lambda r: (r.node_id, r.epoch))
+
+    def per_node(self) -> Dict[int, List[SnapshotRow]]:
+        result: Dict[int, List[SnapshotRow]] = {}
+        for row in self.rows:
+            result.setdefault(row.node_id, []).append(row)
+        return result
+
+
+def load_trace_jsonl_seed(path) -> SeedTrace:
     """The seed's JSONL loader: one row object per line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
@@ -55,7 +98,7 @@ def load_trace_jsonl_seed(path) -> Trace:
                     values=np.asarray(obj["values"], dtype=float),
                 )
             )
-    return Trace(
+    return SeedTrace(
         rows=rows,
         metadata=header.get("metadata", {}),
         ground_truth=[
@@ -71,6 +114,43 @@ def load_trace_jsonl_seed(path) -> Trace:
         packets_received=header.get("packets_received", 0),
         arrivals=[(t, n) for t, n in header.get("arrivals", [])],
     )
+
+
+def trace_from_frame(frame) -> SeedTrace:
+    """A frame's rows as a seed trace (for the state-loop pairing)."""
+    return SeedTrace(rows=[
+        SnapshotRow(
+            node_id=int(frame.node_ids[i]),
+            epoch=int(frame.epochs[i]),
+            generated_at=float(frame.generated_at[i]),
+            received_at=float(frame.received_at[i]),
+            values=frame.values[i].copy(),
+        )
+        for i in range(len(frame))
+    ])
+
+
+def build_states_seed(trace: SeedTrace) -> StateMatrix:
+    """The seed's per-node differencing loop over row objects."""
+    rows: List[np.ndarray] = []
+    provenance: List[StateProvenance] = []
+    for node_id, snaps in sorted(trace.per_node().items()):
+        for prev, curr in zip(snaps, snaps[1:]):
+            gap = curr.epoch - prev.epoch
+            if gap <= 0:
+                continue  # duplicate or out-of-order epoch
+            rows.append(curr.values - prev.values)
+            provenance.append(
+                StateProvenance(
+                    node_id=node_id,
+                    epoch_from=prev.epoch,
+                    epoch_to=curr.epoch,
+                    time_from=prev.generated_at,
+                    time_to=curr.generated_at,
+                )
+            )
+    values = np.vstack(rows) if rows else np.zeros((0, NUM_METRICS))
+    return StateMatrix(values=values, provenance=provenance)
 
 
 def nmf_seed(
@@ -158,12 +238,12 @@ class SeedInterpreter(RootCauseInterpreter):
 
 
 def fit_seed(
-    trace: Trace,
+    trace: SeedTrace,
     rank: int = 20,
     filter_exceptions: bool = True,
 ) -> np.ndarray:
     """The seed's ``VN2.fit(trace)``, stage for stage; returns Ψ."""
-    states = build_states_python(trace)
+    states = build_states_seed(trace)
     # Online exception-scoring statistics (a separate pass in the seed).
     values = states.values
     mean = values.mean(axis=0)

@@ -5,7 +5,7 @@ compress into a handful of network-level incidents that overlap the
 injected fault window and involve the injected nodes.
 """
 
-from repro.core.incidents import IncidentAggregator, incidents_from_trace
+from repro.core.incidents import IncidentAggregator, incidents_from_frame
 from repro.core.pipeline import VN2, VN2Config
 from repro.core.states import build_states
 
@@ -14,7 +14,7 @@ def test_bench_incidents(benchmark, multicause_trace):
     tool = VN2(VN2Config(rank=12)).fit(multicause_trace)
 
     incidents = benchmark.pedantic(
-        lambda: incidents_from_trace(tool, multicause_trace, min_observations=3),
+        lambda: incidents_from_frame(tool, multicause_trace, min_observations=3),
         rounds=1,
         iterations=1,
     )

@@ -17,11 +17,12 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
-from repro.core.inference import infer_single, infer_weights_batch
+from repro.core.inference import infer_weights_batch
 from repro.core.nmf import nmf
 from repro.core.pipeline import VN2, VN2Config
-from repro.core.states import build_states, build_states_python
+from repro.core.states import build_states
 from repro.simnet.network import Network, NetworkConfig
 from repro.simnet.radio import RadioParams
 from repro.simnet.topology import grid_topology
@@ -31,7 +32,12 @@ from repro.traces.io import (
     save_frame_npz,
 )
 
-from _seed_baseline import fit_seed, load_trace_jsonl_seed
+from _seed_baseline import (
+    build_states_seed,
+    fit_seed,
+    load_trace_jsonl_seed,
+    trace_from_frame,
+)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +84,7 @@ def test_bench_runtime_nnls_single_loop(benchmark, exception_matrix):
     states = exception_matrix[:100]
 
     def per_state():
-        return np.vstack([infer_single(Psi, s)[0] for s in states])
+        return np.vstack([nnls(Psi.T, s)[0] for s in states])
 
     weights = benchmark(per_state)
     batch_w, _res = infer_weights_batch(Psi, states)
@@ -96,8 +102,8 @@ def test_bench_runtime_build_states_frame(benchmark, citysee_trace):
 
 
 def test_bench_runtime_build_states_legacy(benchmark, citysee_trace):
-    trace = citysee_trace.to_trace()
-    states = benchmark(lambda: build_states_python(trace))
+    trace = trace_from_frame(citysee_trace)
+    states = benchmark(lambda: build_states_seed(trace))
     assert np.array_equal(states.values, build_states(citysee_trace).values)
 
 

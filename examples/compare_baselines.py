@@ -15,7 +15,7 @@ look at the same states:
 """
 
 from repro.analysis.baseline_comparison import (
-    build_multicause_trace,
+    build_multicause_frame,
     exp_baselines,
 )
 from repro.baselines.sympathy import SympathyDiagnoser
@@ -25,7 +25,7 @@ from repro.core.states import build_states
 
 def main() -> None:
     print("simulating simultaneous loop + jamming + burst ...")
-    trace = build_multicause_trace(seed=21)
+    trace = build_multicause_frame(seed=21)
     window = trace.metadata["window"]
     print(
         f"trace: {len(trace)} snapshots; fault window "

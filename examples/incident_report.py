@@ -15,15 +15,15 @@ loop + interference + traffic burst) in its middle window — the exact
 situation single-cause diagnosers garble.
 """
 
-from repro.analysis.baseline_comparison import build_multicause_trace
+from repro.analysis.baseline_comparison import build_multicause_frame
 from repro.analysis.performance import estimate_cause_costs
-from repro.core.incidents import incidents_from_trace
+from repro.core.incidents import incidents_from_frame
 from repro.core.pipeline import VN2, VN2Config
 
 
 def main() -> None:
     print("simulating the incident (loop + jamming + burst) ...")
-    trace = build_multicause_trace(seed=21)
+    trace = build_multicause_frame(seed=21)
     window = trace.metadata["window"]
     print(
         f"trace: {len(trace)} snapshots, delivery {trace.delivery_ratio():.3f}; "
@@ -34,7 +34,7 @@ def main() -> None:
     tool = VN2(VN2Config(rank=12)).fit(trace)
 
     print("\n=== Incident report ===")
-    incidents = incidents_from_trace(tool, trace, min_observations=3)
+    incidents = incidents_from_frame(tool, trace, min_observations=3)
     if not incidents:
         print("no incidents found")
     for rank, incident in enumerate(incidents[:8], start=1):

@@ -18,6 +18,7 @@ import threading
 import time
 
 from repro import VN2, VN2Config
+from repro.core.streaming import iter_packets
 from repro.service import (
     ServiceClient,
     ServiceConfig,
@@ -27,7 +28,7 @@ from repro.service import (
 from repro.simnet import FaultInjector, Network, NetworkConfig, grid_topology
 from repro.simnet.faults import BatteryDrain, Interference
 from repro.simnet.radio import RadioParams
-from repro.traces.records import trace_from_network
+from repro.traces.frame import frame_from_network
 
 TRAIN_HOURS = 2.0
 MONITOR_HOURS = 3.0
@@ -55,7 +56,7 @@ def main() -> None:
     train_end = TRAIN_HOURS * 3600.0
     network.run(train_end)
     model = VN2(VN2Config(rank=8, filter_exceptions=False)).fit(
-        trace_from_network(network)
+        frame_from_network(network)
     )
     print(f"model ready: r={model.rank_}")
 
@@ -116,16 +117,15 @@ def main() -> None:
         for _ in range(n_windows):
             network.run(WINDOW_S)
             now = network.sim.now()
-            trace = trace_from_network(network)
+            frame = frame_from_network(network)
 
             # Ship this window's new snapshots, oldest first — the same
             # packets a real collector would forward to the sink.
             fresh = [
-                row for row in trace.rows
-                if (row.node_id, row.epoch) not in submitted
+                packet for packet in iter_packets(frame)
+                if (packet[0], packet[1]) not in submitted
             ]
-            fresh.sort(key=lambda r: (r.generated_at, r.node_id, r.epoch))
-            submitted.update((r.node_id, r.epoch) for r in fresh)
+            submitted.update((packet[0], packet[1]) for packet in fresh)
             if fresh:
                 client.submit(DEPLOYMENT, fresh)
 
@@ -137,11 +137,10 @@ def main() -> None:
 
             # Liveness: a node whose reports stopped arriving is itself
             # an alarm (state-delta diagnosis cannot see a silent node).
-            last_report: dict = {}
-            for row in trace.rows:
-                last_report[row.node_id] = max(
-                    last_report.get(row.node_id, 0.0), row.generated_at
-                )
+            last_report = {
+                node_id: float(frame.generated_at[rows].max())
+                for node_id, rows in frame.node_slices()
+            }
             silent = sorted(
                 node_id
                 for node_id, seen_at in last_report.items()

@@ -19,7 +19,7 @@ from repro.simnet import (
     grid_topology,
 )
 from repro.simnet.radio import RadioParams
-from repro.traces.records import trace_from_network
+from repro.traces.frame import frame_from_network
 
 
 def main() -> None:
@@ -43,9 +43,9 @@ def main() -> None:
         ]
     ).install(network)
     network.run(5400.0)
-    trace = trace_from_network(network)
+    trace = frame_from_network(network)
     print(
-        f"trace: {len(trace)} snapshots from {len(trace.node_ids)} nodes, "
+        f"trace: {len(trace)} snapshots from {len(trace.unique_node_ids)} nodes, "
         f"delivery ratio {trace.delivery_ratio():.3f}"
     )
 

@@ -19,7 +19,7 @@ from repro.analysis.testbed_experiments import (
     exp_fig5g,
     exp_fig5hi,
 )
-from repro.traces.testbed import TestbedScenario, generate_testbed_trace
+from repro.traces.testbed import TestbedScenario, generate_testbed_frame
 
 
 def main() -> None:
@@ -32,7 +32,7 @@ def main() -> None:
     scenario = TestbedScenario(args.scenario)
 
     print(f"simulating testbed ({scenario.value} removal, seed {args.seed})...")
-    trace = generate_testbed_trace(scenario, seed=args.seed)
+    trace = generate_testbed_frame(scenario, seed=args.seed)
     print(
         f"  {len(trace)} snapshots, {len(trace.ground_truth)} injected events, "
         f"delivery {trace.delivery_ratio():.3f}\n"

@@ -13,7 +13,7 @@ Sensor Networks" (ICDCS 2014).  The package bundles:
     collector.
 
 ``repro.traces``
-    Trace containers, JSONL/CSV IO and the synthetic CitySee / testbed
+    The trace frame, JSONL/NPZ/CSV IO and the synthetic CitySee / testbed
     trace generators.
 
 ``repro.core``
@@ -70,8 +70,6 @@ _LAZY_EXPORTS = {
     "NMFResult": ("repro.core.nmf", "NMFResult"),
     "nmf": ("repro.core.nmf", "nmf"),
     "TraceFrame": ("repro.traces.frame", "TraceFrame"),
-    "Trace": ("repro.traces.records", "Trace"),
-    "as_frame": ("repro.traces.frame", "as_frame"),
     "build_states": ("repro.core.states", "build_states"),
     "StateMatrix": ("repro.core.states", "StateMatrix"),
     "StreamingStateBuilder": ("repro.core.states", "StreamingStateBuilder"),
@@ -107,8 +105,7 @@ if TYPE_CHECKING:  # pragma: no cover - static typing only
     from repro.service.client import ServiceClient
     from repro.service.server import DiagnosisService, ServiceConfig
     from repro.metrics.catalog import METRICS, METRIC_NAMES, NUM_METRICS
-    from repro.traces.frame import TraceFrame, as_frame
-    from repro.traces.records import Trace
+    from repro.traces.frame import TraceFrame
 
 
 def __getattr__(name: str):

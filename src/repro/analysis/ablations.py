@@ -22,7 +22,7 @@ from repro.core.pipeline import VN2, VN2Config
 from repro.core.sparsify import sparsify_weights
 from repro.core.states import build_states
 from repro.traces.citysee import CitySeeProfile
-from repro.traces.records import Trace
+from repro.traces.frame import TraceFrame
 
 
 # ----------------------------------------------------------------------
@@ -86,7 +86,7 @@ def _variant_stats(name: str, tool: VN2, exception_values: np.ndarray) -> Filter
     )
 
 
-def exp_ablation_filter(trace: Trace, rank: int = 15) -> FilterAblationResult:
+def exp_ablation_filter(trace: TraceFrame, rank: int = 15) -> FilterAblationResult:
     """Train with and without the ε filter; score on the exception states."""
     states = build_states(trace)
     exceptions = detect_exceptions(states)
@@ -139,7 +139,7 @@ class SparsifyAblationResult:
 
 
 def exp_ablation_sparsify(
-    trace: Trace,
+    trace: TraceFrame,
     rank: int = 15,
     retentions: Sequence[float] = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0),
 ) -> SparsifyAblationResult:

@@ -16,7 +16,7 @@ tool on the states of nodes affected by two or more hazards at once:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -32,13 +32,11 @@ from repro.simnet.network import Network, NetworkConfig
 from repro.simnet.radio import RadioParams
 from repro.simnet.topology import grid_topology
 from repro.traces.frame import TraceFrame, frame_from_network
-from repro.traces.records import Trace
 
 # The canonical hazard -> fault-kind mapping lives in
 # repro.analysis.evaluation; re-exported here for backwards compatibility.
 from repro.analysis.evaluation import HAZARD_TO_FAULTS, truth_kinds_for_states
 
-TraceLike = Union[Trace, TraceFrame]
 
 #: Sympathy verdict -> ground-truth fault kinds.
 SYMPATHY_TO_FAULTS: Dict[str, Tuple[str, ...]] = {
@@ -142,13 +140,8 @@ def build_multicause_frame(seed: int = 21) -> TraceFrame:
     )
 
 
-def build_multicause_trace(seed: int = 21) -> Trace:
-    """Legacy row-object view of :func:`build_multicause_frame`."""
-    return build_multicause_frame(seed).to_trace()
-
-
 def exp_baselines(
-    trace: Optional[TraceLike] = None,
+    trace: Optional[TraceFrame] = None,
     rank: int = 12,
     min_weight_fraction: float = 0.15,
 ) -> BaselineComparisonResult:

@@ -15,7 +15,7 @@ the loop/contention/failure families (6c).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,9 +26,7 @@ from repro.core.states import build_states
 from repro.traces.citysee import CitySeeProfile
 from repro.traces.frame import TraceFrame
 from repro.traces.prr import degraded_windows, prr_series
-from repro.traces.records import Trace
 
-TraceLike = Union[Trace, TraceFrame]
 
 #: Hazard names that satisfy each of the paper's three episode diagnoses.
 EPISODE_FAMILIES: Dict[str, Tuple[str, ...]] = {
@@ -71,7 +69,7 @@ class Fig6aResult:
 
 
 def exp_fig6a(
-    trace: TraceLike,
+    trace: TraceFrame,
     bin_fraction_of_day: float = 0.25,
 ) -> Fig6aResult:
     """Fig 6(a): the sink PRR series around the degradation episode."""
@@ -129,7 +127,7 @@ class Fig6bResult:
 
 def exp_fig6b(
     tool: VN2,
-    episode_trace: TraceLike,
+    episode_trace: TraceFrame,
     window: Optional[Tuple[float, float]] = None,
 ) -> Fig6bResult:
     """Fig 6(b): correlate the degradation window's states against Ψ."""

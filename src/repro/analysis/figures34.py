@@ -9,7 +9,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,11 +22,7 @@ from repro.core.rank_selection import choose_rank, rank_sweep
 from repro.core.states import build_states
 from repro.metrics.catalog import METRIC_INDEX
 from repro.traces.frame import TraceFrame
-from repro.traces.records import Trace
 
-#: Harness inputs: the columnar frame is the fast path, a legacy Trace is
-#: columnarized once inside build_states.
-TraceLike = Union[Trace, TraceFrame]
 
 DEFAULT_FIG3A_METRICS = ("voltage", "rssi_1", "radio_on_time", "receive_counter")
 
@@ -69,7 +65,7 @@ class Fig3aResult:
 
 
 def exp_fig3a(
-    trace: TraceLike,
+    trace: TraceFrame,
     metrics: Sequence[str] = DEFAULT_FIG3A_METRICS,
     threshold_ratio: float = 0.01,
 ) -> Fig3aResult:
@@ -121,7 +117,7 @@ class Fig3bResult:
 
 
 def exp_fig3b(
-    trace: TraceLike,
+    trace: TraceFrame,
     ranks: Sequence[int] = tuple(range(5, 41, 5)),
     retention: float = 0.9,
     threshold_ratio: float = 0.01,
@@ -171,7 +167,7 @@ class Fig3cResult:
 
 
 def exp_fig3c(
-    trace: TraceLike,
+    trace: TraceFrame,
     rank: Optional[int] = 25,
     retention: float = 0.9,
 ) -> Fig3cResult:

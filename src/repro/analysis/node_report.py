@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
@@ -21,10 +21,7 @@ from repro.analysis.reporting import format_table
 from repro.core.inference import sparsify_inferred
 from repro.core.pipeline import VN2
 from repro.core.states import build_states
-from repro.traces.frame import TraceFrame, as_frame
-from repro.traces.records import Trace
-
-TraceLike = Union[Trace, TraceFrame]
+from repro.traces.frame import TraceFrame
 
 
 @dataclass
@@ -87,7 +84,7 @@ class NodeReport:
 
 def node_health_report(
     tool: VN2,
-    trace: TraceLike,
+    frame: TraceFrame,
     exception_threshold: float = 0.01,
     min_strength: float = 0.2,
     silence_periods: float = 4.0,
@@ -96,7 +93,7 @@ def node_health_report(
 
     Args:
         tool: Fitted VN2 model.
-        trace: The trace to summarize.
+        frame: The trace to summarize.
         exception_threshold: ε/max(ε) ratio above which a state counts as
             exceptional for the node.
         min_strength: Sparsified NNLS strength above which a cause is
@@ -105,7 +102,6 @@ def node_health_report(
             counts as a silent window.
     """
     tool._require_fitted()
-    frame = as_frame(trace)
     period = float(frame.metadata.get("report_period_s", 600.0))
     start, end = frame.time_span()
     span = max(end - start, period)

@@ -33,7 +33,7 @@ from repro.core.inference import sparsify_inferred
 from repro.core.pipeline import VN2
 from repro.core.states import build_states
 from repro.traces.prr import prr_series
-from repro.traces.records import Trace
+from repro.traces.frame import TraceFrame
 
 
 @dataclass
@@ -97,7 +97,7 @@ class PerformanceModel:
 
 def estimate_cause_costs(
     tool: VN2,
-    trace: Trace,
+    trace: TraceFrame,
     bin_seconds: float = 600.0,
     baseline_quantile: float = 0.9,
     retention: float = 0.9,
@@ -106,7 +106,7 @@ def estimate_cause_costs(
 
     Args:
         tool: Fitted VN2 model (defines the causes).
-        trace: Trace with arrival accounting (for PRR) and snapshots (for
+        trace: Frame with arrival accounting (for PRR) and snapshots (for
             states).
         bin_seconds: Time-bin width.
         baseline_quantile: The PRR quantile treated as "healthy".

@@ -390,7 +390,7 @@ def run_chaos_suite(
 ) -> ChaosSuiteResult:
     """Run presets through the process pool, fit + score each one.
 
-    Trace generation (the dominant cost) shards across ``jobs`` workers
+    Generating the traces (the dominant cost) shards across ``jobs`` workers
     with bit-identical frames; fitting and scoring stay in the parent.
     """
     from repro.chaos.presets import PRESETS

@@ -16,7 +16,7 @@ sub-experiments reproduced here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,12 +26,9 @@ from repro.core.pipeline import VN2, VN2Config
 from repro.core.states import StateMatrix, build_states
 from repro.metrics.catalog import METRIC_INDEX
 from repro.traces.frame import TraceFrame
-from repro.traces.records import Trace
 from repro.traces.testbed import TestbedScenario
 
 TESTBED_RANK = 10
-
-TraceLike = Union[Trace, TraceFrame]
 
 
 def generate_scenario_frames(
@@ -56,7 +53,7 @@ def generate_scenario_frames(
     return dict(zip(scenarios, report.frames()))
 
 
-def train_test_split(trace: TraceLike) -> Tuple[TraceLike, TraceLike]:
+def train_test_split(trace: TraceFrame) -> Tuple[TraceFrame, TraceFrame]:
     """First experiment hour for training, second for testing (paper)."""
     warmup = float(trace.metadata.get("warmup_s", 1200.0))
     duration = float(trace.metadata.get("duration_s", 7200.0))
@@ -64,7 +61,7 @@ def train_test_split(trace: TraceLike) -> Tuple[TraceLike, TraceLike]:
     return trace.window(0.0, half), trace.window(half, warmup + duration)
 
 
-def fit_testbed_tool(train: TraceLike, rank: int = TESTBED_RANK) -> VN2:
+def fit_testbed_tool(train: TraceFrame, rank: int = TESTBED_RANK) -> VN2:
     """Train Ψ the way the paper does for testbed data (no ε filter)."""
     return VN2(VN2Config(rank=rank, filter_exceptions=False)).fit(train)
 
@@ -90,7 +87,7 @@ class Fig5bResult:
 
 
 def exp_fig5b(
-    trace: TraceLike,
+    trace: TraceFrame,
     rank: int = TESTBED_RANK,
     retention: float = 0.9,
 ) -> Fig5bResult:
@@ -222,7 +219,7 @@ class Fig5gResult:
 
 def _event_states(
     states: StateMatrix,
-    trace: TraceLike,
+    trace: TraceFrame,
     kind: str,
     radius_m: float,
     slack_s: float,
@@ -263,7 +260,7 @@ def _event_states(
 
 def exp_fig5g(
     tool: VN2,
-    trace: TraceLike,
+    trace: TraceFrame,
     radius_m: float = 18.0,
     slack_s: float = 60.0,
 ) -> Fig5gResult:
@@ -337,7 +334,7 @@ def exp_fig5hi(
     scenario: TestbedScenario,
     seed: int = 7,
     rank: int = TESTBED_RANK,
-    trace: Optional[TraceLike] = None,
+    trace: Optional[TraceFrame] = None,
     jobs: int = 1,
 ) -> Fig5hiResult:
     """Fig 5(h) or 5(i): do test states reuse the training root causes?"""

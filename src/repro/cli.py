@@ -568,13 +568,13 @@ def _cmd_model_rotate(args: argparse.Namespace) -> int:
 
 def _cmd_incidents(args: argparse.Namespace) -> int:
     from repro.analysis.performance import estimate_cause_costs
-    from repro.core.incidents import incidents_from_trace
+    from repro.core.incidents import incidents_from_frame
     from repro.core.pipeline import VN2, VN2Config
     from repro.traces.io import load_frame
 
     trace = load_frame(args.trace, fmt=args.format)
     tool = VN2(VN2Config(rank=args.rank)).fit(trace)
-    incidents = incidents_from_trace(
+    incidents = incidents_from_frame(
         tool, trace, min_observations=args.min_observations
     )
     if not incidents:

@@ -27,7 +27,6 @@ from repro.core.states import (
     StreamedState,
     StreamingStateBuilder,
     build_states,
-    build_states_python,
     stack_states,
 )
 from repro.core.exceptions import (
@@ -39,12 +38,7 @@ from repro.core.normalization import MinMaxNormalizer
 from repro.core.nmf import NMFResult, nmf, nmf_best_of, kl_divergence, frobenius_loss
 from repro.core.sparsify import sparsify_weights
 from repro.core.rank_selection import RankSweepResult, rank_sweep, choose_rank
-from repro.core.inference import (
-    NNLSSolverCache,
-    infer_single,
-    infer_weights,
-    infer_weights_batch,
-)
+from repro.core.inference import NNLSSolverCache, infer_weights_batch
 from repro.core.interpretation import RootCauseInterpreter, RootCauseLabel
 from repro.core.pipeline import (
     VN2,
@@ -59,7 +53,7 @@ from repro.core.incidents import (
     IncidentEvent,
     IncidentTracker,
     Observation,
-    incidents_from_trace,
+    incidents_from_frame,
 )
 from repro.core.streaming import (
     PacketBatch,
@@ -75,7 +69,6 @@ __all__ = [
     "StreamedState",
     "StreamingStateBuilder",
     "build_states",
-    "build_states_python",
     "stack_states",
     "ExceptionSet",
     "StreamingExceptionDetector",
@@ -91,9 +84,7 @@ __all__ = [
     "rank_sweep",
     "choose_rank",
     "NNLSSolverCache",
-    "infer_weights",
     "infer_weights_batch",
-    "infer_single",
     "RootCauseInterpreter",
     "RootCauseLabel",
     "VN2",
@@ -107,7 +98,7 @@ __all__ = [
     "IncidentEvent",
     "IncidentTracker",
     "Observation",
-    "incidents_from_trace",
+    "incidents_from_frame",
     "PacketBatch",
     "StreamingDiagnosisSession",
     "StreamUpdate",

@@ -306,8 +306,8 @@ def detect_exceptions(
 
     Args:
         states: All network states — a :class:`StateMatrix`, or a
-            :class:`~repro.traces.frame.TraceFrame` / ``Trace`` that is
-            differenced with :func:`repro.core.states.build_states` first.
+            :class:`~repro.traces.frame.TraceFrame` that is differenced
+            with :func:`repro.core.states.build_states` first.
         threshold_ratio: A state is an exception when its deviation is at
             least this fraction of the maximum deviation (paper: 0.01).
         min_exceptions: If the rule selects fewer rows than this, the

@@ -499,7 +499,7 @@ class IncidentAggregator:
         return self.cluster(self.observations(states))
 
 
-def incidents_from_trace(
+def incidents_from_frame(
     tool: VN2,
     trace,
     min_observations: int = 2,
@@ -509,7 +509,7 @@ def incidents_from_trace(
 
     Args:
         tool: Fitted VN2 model.
-        trace: A :class:`repro.traces.records.Trace` (its stored node
+        trace: A :class:`repro.traces.frame.TraceFrame` (its stored node
             positions, if any, enable spatial clustering).
         min_observations: Drop incidents with fewer observations (noise).
         **aggregator_kwargs: Forwarded to :class:`IncidentAggregator`.

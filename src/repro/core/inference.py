@@ -2,11 +2,12 @@
 
 Given the representative matrix Ψ and an incoming state ``s``, find the
 non-negative correlation strengths ``w`` minimising ``‖s - wΨ‖`` — a convex
-non-negative least-squares problem, solved exactly with Lawson-Hanson NNLS
-(scipy).  ``w_j > 0`` means root cause j is active; its magnitude
-quantifies influence, which is what lets an exception be attributed to
-*several* root causes at once (the paper's core claim against
-single-cause diagnosis trees).
+non-negative least-squares problem, solved exactly for a whole state
+matrix at once by :func:`infer_weights_batch` (block principal pivoting,
+with scipy's Lawson-Hanson NNLS as the per-column fallback).  ``w_j > 0``
+means root cause j is active; its magnitude quantifies influence, which
+is what lets an exception be attributed to *several* root causes at once
+(the paper's core claim against single-cause diagnosis trees).
 """
 
 from __future__ import annotations
@@ -25,57 +26,6 @@ from repro.obs import get_registry
 #: solves against the factor), the routines ``cho_factor`` and
 #: ``cho_solve`` end in, resolved once for float64 operands.
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.zeros((1, 1)),))
-
-
-def infer_single(Psi: np.ndarray, state: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Solve ``argmin_w ‖s - wΨ‖  s.t. w >= 0`` for one state.
-
-    Args:
-        Psi: (r, m) representative matrix.
-        state: Length-m state vector (same normalization as Ψ's training).
-
-    Returns:
-        (w, residual): the length-r weight vector and the Euclidean
-        residual ``‖s - wΨ‖``.
-    """
-    Psi = np.asarray(Psi, dtype=float)
-    state = np.asarray(state, dtype=float).ravel()
-    if Psi.ndim != 2:
-        raise ValueError(f"Psi must be 2-D, got shape {Psi.shape}")
-    if state.shape[0] != Psi.shape[1]:
-        raise ValueError(
-            f"state has {state.shape[0]} metrics but Psi has {Psi.shape[1]}"
-        )
-    weights, residual = nnls(Psi.T, state)
-    return weights, float(residual)
-
-
-def infer_weights(
-    Psi: np.ndarray,
-    states: np.ndarray,
-    *,
-    warm_start: np.ndarray = None,
-    solver_cache: "Optional[NNLSSolverCache]" = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batch NNLS: one weight vector per state row.
-
-    Delegates to the vectorized :func:`infer_weights_batch`; kept as the
-    stable name the seed API exposed.
-
-    Args:
-        Psi: (r, m) representative matrix.
-        states: (n, m) states.
-        warm_start: Optional (n, r) previous weights seeding each row's
-            initial passive set (see :func:`infer_weights_batch`).
-        solver_cache: Optional cross-call factorization cache (see
-            :class:`NNLSSolverCache`).
-
-    Returns:
-        (W, residuals): (n, r) weights and length-n residuals.
-    """
-    return infer_weights_batch(
-        Psi, states, warm_start=warm_start, solver_cache=solver_cache
-    )
 
 
 class NNLSSolverCache:
@@ -398,7 +348,7 @@ def infer_weights_batch(
     (Murty) rule; the rare column that still has not converged after
     ``max_iter`` exchanges falls back to per-column Lawson-Hanson.  The
     result satisfies the same KKT conditions scipy's ``nnls`` solves to,
-    so weights agree with :func:`infer_single` to within solver round-off.
+    so weights agree with ``scipy.optimize.nnls`` to within solver round-off.
 
     A single state (``states`` with one row) runs the one-column pivoting
     loop every per-state solve uses (see

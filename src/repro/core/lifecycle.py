@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 import numpy as np
 
 from repro.obs import get_registry, span
 from repro.core.exceptions import detect_exceptions
-from repro.core.inference import infer_weights
+from repro.core.inference import infer_weights_batch
 from repro.core.nmf import NMFResult, _EPS, frobenius_loss
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.pipeline import VN2, DiagnosisReport
@@ -121,10 +121,10 @@ def incremental_refit(
             and n_old
             and previous_W.shape == (n_old, Psi.shape[0])
         ):
-            W_new, _residuals = infer_weights(Psi, E[n_old:])
+            W_new, _residuals = infer_weights_batch(Psi, E[n_old:])
             W = np.vstack([previous_W, W_new])
         else:
-            W, _residuals = infer_weights(Psi, E)
+            W, _residuals = infer_weights_batch(Psi, E)
         W = np.maximum(W, 1e-6)
         loss_history = []
         previous = None

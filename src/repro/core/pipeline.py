@@ -3,10 +3,10 @@
 Typical use::
 
     from repro import VN2, VN2Config
-    from repro.traces import generate_citysee_trace
+    from repro.traces import generate_citysee_frame
 
-    trace = generate_citysee_trace()
-    tool = VN2(VN2Config(rank=25)).fit(trace)
+    frame = generate_citysee_frame()
+    tool = VN2(VN2Config(rank=25)).fit(frame)
 
     report = tool.diagnose(state_vector)   # one 43-metric delta
     for cause in report.ranked:
@@ -41,7 +41,6 @@ from repro.core.sparsify import SparsifyResult, sparsify_weights
 from repro.core.states import StateMatrix, build_states
 from repro.metrics.catalog import NUM_METRICS
 from repro.traces.frame import TraceFrame
-from repro.traces.records import Trace
 
 if TYPE_CHECKING:
     from repro.core.plan import DiagnosisPlan
@@ -213,12 +212,8 @@ class VN2:
     # training
     # ------------------------------------------------------------------
 
-    def fit(self, trace: Union[Trace, TraceFrame]) -> "VN2":
-        """Train from a trace or frame (differencing performed internally).
-
-        A :class:`~repro.traces.frame.TraceFrame` is the fast path; a
-        legacy :class:`Trace` is columnarized once at this boundary.
-        """
+    def fit(self, trace: TraceFrame) -> "VN2":
+        """Train from a frame (differencing performed internally)."""
         with span("fit"):
             with span("fit.states") as sp:
                 states = build_states(trace)
@@ -608,9 +603,8 @@ class VN2:
         length.
 
         ``packets`` is anything :func:`repro.core.streaming.iter_packets`
-        accepts: a :class:`~repro.traces.frame.TraceFrame` / ``Trace``
-        (iterated in arrival order), an iterable of
-        :class:`~repro.traces.records.SnapshotRow`, or raw
+        accepts: a :class:`~repro.traces.frame.TraceFrame` (iterated in
+        arrival order) or an iterable of raw
         ``(node_id, epoch, generated_at, values)`` tuples.
 
         After the source is exhausted a final update (``state=None``)

@@ -27,13 +27,12 @@ lazily for legacy consumers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.metrics.catalog import NUM_METRICS
-from repro.traces.frame import TraceFrame, as_frame
-from repro.traces.records import Trace
+from repro.traces.frame import TraceFrame
 
 
 @dataclass
@@ -281,7 +280,7 @@ class StreamingStateBuilder:
         )
         return states.streamed(0) if len(states) else None
 
-    def push_frame(self, frame: Union[Trace, TraceFrame]) -> StateMatrix:
+    def push_frame(self, frame: TraceFrame) -> StateMatrix:
         """Vectorized chunk ingestion: one differencing pass per chunk.
 
         Equivalent to calling :meth:`push` row by row (states come back in
@@ -291,7 +290,6 @@ class StreamingStateBuilder:
         sorted frame reproduces the batch differencer; feeding successive
         chunks of it gives the same states with bounded memory.
         """
-        frame = as_frame(frame)
         return self.push_columns(
             frame.node_ids, frame.epochs, frame.generated_at, frame.values
         )
@@ -381,7 +379,7 @@ class StreamingStateBuilder:
 
 
 def build_states(
-    trace: Union[Trace, TraceFrame],
+    trace: TraceFrame,
     max_epoch_gap: Optional[int] = None,
     per_epoch_rate: bool = False,
 ) -> StateMatrix:
@@ -395,7 +393,7 @@ def build_states(
     :meth:`StreamingStateBuilder.push` produces bit-identical states.
 
     Args:
-        trace: Sink-side trace (object or frame) of complete snapshots.
+        trace: Sink-side frame of complete snapshots.
         max_epoch_gap: Skip snapshot pairs more than this many epochs
             apart (packet loss can separate "successive" received packets
             by hours; a large gap makes counter deltas incomparable).
@@ -409,43 +407,4 @@ def build_states(
     builder = StreamingStateBuilder(
         max_epoch_gap=max_epoch_gap, per_epoch_rate=per_epoch_rate
     )
-    return builder.push_frame(as_frame(trace))
-
-
-def build_states_python(
-    trace: Trace,
-    max_epoch_gap: Optional[int] = None,
-    per_epoch_rate: bool = False,
-) -> StateMatrix:
-    """The seed's per-object differencing loop, kept as the reference
-    implementation (and the legacy side of the benchmark pairing).
-
-    Semantically identical to :func:`build_states`.
-    """
-    rows: List[np.ndarray] = []
-    provenance: List[StateProvenance] = []
-    for node_id, snaps in sorted(trace.per_node().items()):
-        for prev, curr in zip(snaps, snaps[1:]):
-            gap = curr.epoch - prev.epoch
-            if gap <= 0:
-                continue  # duplicate or out-of-order epoch; skip defensively
-            if max_epoch_gap is not None and gap > max_epoch_gap:
-                continue
-            delta = curr.values - prev.values
-            if per_epoch_rate:
-                delta = delta / gap
-            rows.append(delta)
-            provenance.append(
-                StateProvenance(
-                    node_id=node_id,
-                    epoch_from=prev.epoch,
-                    epoch_to=curr.epoch,
-                    time_from=prev.generated_at,
-                    time_to=curr.generated_at,
-                )
-            )
-    if rows:
-        values = np.vstack(rows)
-    else:
-        values = np.zeros((0, NUM_METRICS))
-    return StateMatrix(values=values, provenance=provenance)
+    return builder.push_frame(trace)

@@ -82,8 +82,7 @@ from repro.core.states import (
     StreamingStateBuilder,
     stack_states,
 )
-from repro.traces.frame import Packet, PacketBatch, TraceFrame, as_frame
-from repro.traces.records import SnapshotRow, Trace
+from repro.traces.frame import Packet, PacketBatch, TraceFrame
 
 # ``observations_for_state``, ``infer_weights_batch`` and
 # ``sparsify_inferred`` are imported but not called: the per-state path
@@ -115,39 +114,33 @@ def _arrival_order(frame: TraceFrame) -> np.ndarray:
 
 
 def iter_packets(
-    source: Union[Trace, TraceFrame, Iterable],
+    source: Union[TraceFrame, Iterable[Packet]],
 ) -> Iterator[Packet]:
     """Yield ``(node_id, epoch, generated_at, values)`` in arrival order.
 
-    A :class:`~repro.traces.frame.TraceFrame` (or legacy ``Trace``) is
-    stored node-major; a live sink sees packets in *time* order.  This
-    helper yields frame rows sorted by (generated_at, node_id, epoch) —
-    the canonical arrival order the streaming engine's bit-identity
-    guarantees assume.  Iterables of :class:`SnapshotRow` or packet
-    tuples are passed through untouched (a tailed JSONL file is already
-    in arrival order).
+    A :class:`~repro.traces.frame.TraceFrame` is stored node-major; a
+    live sink sees packets in *time* order.  This helper yields frame
+    rows sorted by (generated_at, node_id, epoch) — the canonical arrival
+    order the streaming engine's bit-identity guarantees assume.  An
+    iterable of packet tuples is passed through untouched (a tailed JSONL
+    file is already in arrival order).
     """
-    if isinstance(source, (Trace, TraceFrame)):
-        frame = as_frame(source)
-        for i in _arrival_order(frame):
+    if isinstance(source, TraceFrame):
+        for i in _arrival_order(source):
             yield (
-                int(frame.node_ids[i]),
-                int(frame.epochs[i]),
-                float(frame.generated_at[i]),
-                frame.values[i],
+                int(source.node_ids[i]),
+                int(source.epochs[i]),
+                float(source.generated_at[i]),
+                source.values[i],
             )
         return
-    for item in source:
-        if isinstance(item, SnapshotRow):
-            yield (item.node_id, item.epoch, item.generated_at, item.values)
-        else:
-            node_id, epoch, generated_at, values = item
-            yield (
-                int(node_id),
-                int(epoch),
-                float(generated_at),
-                np.asarray(values, dtype=float),
-            )
+    for node_id, epoch, generated_at, values in source:
+        yield (
+            int(node_id),
+            int(epoch),
+            float(generated_at),
+            np.asarray(values, dtype=float),
+        )
 
 
 def _slices(source) -> Iterator[PacketBatch]:
@@ -155,16 +148,15 @@ def _slices(source) -> Iterator[PacketBatch]:
 
     A frame is sorted once and sliced by row index, never row by row.
     """
-    if isinstance(source, (Trace, TraceFrame)):
-        frame = as_frame(source)
-        order = _arrival_order(frame)
+    if isinstance(source, TraceFrame):
+        order = _arrival_order(source)
         for start in range(0, len(order), SLICE_PACKETS):
             rows = order[start : start + SLICE_PACKETS]
             yield PacketBatch(
-                frame.node_ids[rows],
-                frame.epochs[rows],
-                frame.generated_at[rows],
-                frame.values[rows],
+                source.node_ids[rows],
+                source.epochs[rows],
+                source.generated_at[rows],
+                source.values[rows],
             )
         return
     packets = iter_packets(source)

@@ -16,9 +16,9 @@ semantics:
 * ``events`` subscribes to a deployment's incident stream and iterates
   the event objects as they arrive.
 
-Packets can be ``(node_id, epoch, generated_at, values)`` tuples,
-:class:`~repro.traces.records.SnapshotRow` instances, or pre-built row
-objects (:func:`repro.traces.io.row_obj`) — anything a trace yields.
+Packets can be ``(node_id, epoch, generated_at, values)`` tuples (what
+:func:`repro.core.streaming.iter_packets` yields) or pre-built row
+objects (:func:`repro.traces.io.row_obj`).
 Each batch is sent as one columnar ``ingest`` (ids, epochs and times as
 JSON lists, the metrics as base64 float64; see
 :func:`repro.service.protocol.ingest`), built once per batch and
@@ -33,12 +33,11 @@ import random
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.service import protocol
-from repro.traces.records import SnapshotRow
 
 
 @dataclass
@@ -80,15 +79,6 @@ def _packet_obj(packet) -> dict:
     """Normalize any accepted packet shape into the wire row object."""
     if isinstance(packet, dict):
         return packet
-    if isinstance(packet, SnapshotRow):
-        values = packet.values
-        return {
-            "node_id": int(packet.node_id),
-            "epoch": int(packet.epoch),
-            "generated_at": float(packet.generated_at),
-            "received_at": float(packet.received_at),
-            "values": values.tolist() if isinstance(values, np.ndarray) else list(values),
-        }
     node_id, epoch, generated_at, values = packet
     return {
         "node_id": int(node_id),

@@ -81,8 +81,8 @@ def replay_trace(
     Args:
         client: Connected (or connectable) :class:`ServiceClient`.
         deployment: Target shard name.
-        trace: Trace path (any codec) or an in-memory frame.
-        speed: Trace-time rate multiplier; ``None`` = as fast as possible.
+        trace: Path of a trace file (any codec) or an in-memory frame.
+        speed: Rate multiplier on trace time; ``None`` = as fast as possible.
             With pacing, a batch is sent once its *first* packet's
             ``generated_at`` is due.
         batch_size: Packets per ingest message.

@@ -1,29 +1,18 @@
-"""Trace containers, IO and the synthetic CitySee / testbed generators."""
+"""The trace frame, its IO and the synthetic CitySee / testbed generators."""
 
-from repro.traces.records import GroundTruth, SnapshotRow, Trace, trace_from_network
-from repro.traces.frame import TraceFrame, as_frame, frame_from_network
+from repro.traces.frame import GroundTruth, TraceFrame, frame_from_network
 from repro.traces.io import (
     export_snapshots_csv,
     load_frame,
     load_frame_jsonl,
     load_frame_npz,
-    load_trace_jsonl,
     save_frame,
     save_frame_jsonl,
     save_frame_npz,
-    save_trace_jsonl,
 )
 from repro.traces.prr import prr_series
-from repro.traces.testbed import (
-    TestbedScenario,
-    generate_testbed_frame,
-    generate_testbed_trace,
-)
-from repro.traces.citysee import (
-    CitySeeProfile,
-    generate_citysee_frame,
-    generate_citysee_trace,
-)
+from repro.traces.testbed import TestbedScenario, generate_testbed_frame
+from repro.traces.citysee import CitySeeProfile, generate_citysee_frame
 from repro.traces.synthetic import (
     PlantedDataset,
     generate_planted_dataset,
@@ -34,12 +23,8 @@ from repro.traces.synthetic import (
 
 __all__ = [
     "GroundTruth",
-    "SnapshotRow",
-    "Trace",
     "TraceFrame",
-    "as_frame",
     "frame_from_network",
-    "trace_from_network",
     "export_snapshots_csv",
     "save_frame",
     "load_frame",
@@ -47,14 +32,10 @@ __all__ = [
     "load_frame_jsonl",
     "save_frame_npz",
     "load_frame_npz",
-    "save_trace_jsonl",
-    "load_trace_jsonl",
     "prr_series",
     "TestbedScenario",
-    "generate_testbed_trace",
     "generate_testbed_frame",
     "CitySeeProfile",
-    "generate_citysee_trace",
     "generate_citysee_frame",
     "PlantedDataset",
     "generate_planted_dataset",

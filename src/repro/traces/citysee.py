@@ -8,7 +8,7 @@ Sep 20-22 — to demonstrate diagnosis.
 
 This module reproduces both as simulator runs:
 
-* :func:`generate_citysee_trace` with ``episode=False`` gives the training
+* :func:`generate_citysee_frame` with ``episode=False`` gives the training
   trace: a long run with a realistic *background* fault mix (sporadic
   reboots, interference bursts, routing loops, link degradations, traffic
   hot spots, battery drains) scattered over space and time.
@@ -49,7 +49,6 @@ from repro.simnet.radio import RadioParams
 from repro.simnet.rng import RngRegistry
 from repro.simnet.topology import Topology, random_geometric_topology
 from repro.traces.frame import TraceFrame, frame_from_network
-from repro.traces.records import Trace
 from repro.traces.io import (
     load_frame_jsonl,
     load_frame_npz,
@@ -299,7 +298,7 @@ def _cache_key(profile: CitySeeProfile, episode: bool,
 
 
 def default_cache_dir() -> Path:
-    """Trace cache directory (override with ``REPRO_VN2_CACHE``)."""
+    """Directory of the trace cache (override with ``REPRO_VN2_CACHE``)."""
     env = os.environ.get("REPRO_VN2_CACHE")
     if env:
         return Path(env)
@@ -405,20 +404,3 @@ def generate_citysee_frame(
         save_frame_npz(frame, npz_path)
         save_frame_jsonl(frame, jsonl_path)
     return frame
-
-
-def generate_citysee_trace(
-    profile: Optional[CitySeeProfile] = None,
-    episode: bool = False,
-    episode_days: Tuple[float, float] = (6.0, 8.0),
-    use_cache: bool = True,
-    cache_dir: Optional[Path] = None,
-) -> Trace:
-    """Legacy shim: :func:`generate_citysee_frame` as a :class:`Trace`."""
-    return generate_citysee_frame(
-        profile=profile,
-        episode=episode,
-        episode_days=episode_days,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-    ).to_trace()

@@ -1,18 +1,14 @@
-"""Columnar trace backbone: the structure-of-arrays twin of :class:`Trace`.
+"""The trace type: what VN2's back-end actually consumes.
 
-A :class:`TraceFrame` holds the same sink-side record a :class:`Trace`
-holds, but as contiguous numpy columns instead of per-snapshot Python
-objects: ``node_ids`` / ``epochs`` / ``generated_at`` / ``received_at``
-vectors plus one ``(n_reports, 43)`` metric matrix whose column order is
-the :data:`repro.metrics.catalog.METRIC_NAMES` contract.  Everything
-downstream of the sink (state construction, exception detection, NMF,
-NNLS attribution) is matrix math, so keeping the data columnar from the
-moment it leaves the collector removes the object-stream tax the legacy
-path paid on every layer.
-
-The two representations round-trip losslessly (``Trace.to_frame()`` /
-:meth:`TraceFrame.to_trace`); the frame is the fast path, the ``Trace``
-object API remains as a thin boundary shim.
+A :class:`TraceFrame` is the sink-side record of a deployment — complete
+43-metric snapshots per node, packet-arrival accounting for PRR analysis,
+the ground-truth fault log (for evaluation only; the algorithm never sees
+it) and the generation metadata needed to interpret timestamps — held as
+contiguous numpy columns: ``node_ids`` / ``epochs`` / ``generated_at`` /
+``received_at`` vectors plus one ``(n_reports, 43)`` metric matrix whose
+column order is the :data:`repro.metrics.catalog.METRIC_NAMES` contract.
+Everything downstream of the sink (state construction, exception
+detection, NMF, NNLS attribution) is matrix math on those columns.
 """
 
 from __future__ import annotations
@@ -69,6 +65,16 @@ class PacketBatch(NamedTuple):
 
 
 @dataclass
+class GroundTruth:
+    """An injected fault episode (copied from the network's log)."""
+
+    kind: str
+    node_ids: Tuple[int, ...]
+    start: float
+    end: float
+
+
+@dataclass
 class TraceFrame:
     """A full deployment trace in structure-of-arrays layout.
 
@@ -96,7 +102,7 @@ class TraceFrame:
     received_at: np.ndarray
     values: np.ndarray
     metadata: Dict[str, object] = field(default_factory=dict)
-    ground_truth: List["GroundTruth"] = field(default_factory=list)
+    ground_truth: List[GroundTruth] = field(default_factory=list)
     packets_generated: int = 0
     packets_received: int = 0
     arrival_times: np.ndarray = field(
@@ -156,7 +162,7 @@ class TraceFrame:
         self.values = self.values[order]
 
     # ------------------------------------------------------------------
-    # views (mirroring the Trace API)
+    # views
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -213,97 +219,11 @@ class TraceFrame:
             return 0.0
         return self.packets_received / self.packets_generated
 
-    def ground_truth_in(self, start: float, end: float) -> List["GroundTruth"]:
+    def ground_truth_in(self, start: float, end: float) -> List[GroundTruth]:
         """Ground-truth episodes overlapping [start, end)."""
         return [
             g for g in self.ground_truth if g.start < end and g.end >= start
         ]
-
-    @property
-    def arrivals(self) -> List[Tuple[float, int]]:
-        """(received_at, node_id) tuples — the Trace-compatible view."""
-        return [
-            (float(t), int(n))
-            for t, n in zip(self.arrival_times, self.arrival_nodes)
-        ]
-
-    # ------------------------------------------------------------------
-    # conversions
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_trace(cls, trace) -> "TraceFrame":
-        """Columnarize a :class:`repro.traces.records.Trace` losslessly."""
-        n = len(trace.rows)
-        node_ids = np.empty(n, dtype=np.int64)
-        epochs = np.empty(n, dtype=np.int64)
-        generated = np.empty(n, dtype=float)
-        received = np.empty(n, dtype=float)
-        values = np.empty((n, NUM_METRICS), dtype=float)
-        for i, row in enumerate(trace.rows):
-            node_ids[i] = row.node_id
-            epochs[i] = row.epoch
-            generated[i] = row.generated_at
-            received[i] = row.received_at
-            values[i] = row.values
-        if trace.arrivals:
-            arrival_times = np.array([t for t, _ in trace.arrivals], dtype=float)
-            arrival_nodes = np.array(
-                [n for _, n in trace.arrivals], dtype=np.int64
-            )
-        else:
-            arrival_times = np.zeros(0, dtype=float)
-            arrival_nodes = np.zeros(0, dtype=np.int64)
-        return cls(
-            node_ids=node_ids,
-            epochs=epochs,
-            generated_at=generated,
-            received_at=received,
-            values=values,
-            metadata=dict(trace.metadata),
-            ground_truth=list(trace.ground_truth),
-            packets_generated=trace.packets_generated,
-            packets_received=trace.packets_received,
-            arrival_times=arrival_times,
-            arrival_nodes=arrival_nodes,
-        )
-
-    def to_trace(self):
-        """Materialize the legacy object representation (lossless)."""
-        from repro.traces.records import SnapshotRow, Trace
-
-        rows = [
-            SnapshotRow(
-                node_id=int(self.node_ids[i]),
-                epoch=int(self.epochs[i]),
-                generated_at=float(self.generated_at[i]),
-                received_at=float(self.received_at[i]),
-                values=self.values[i].copy(),
-            )
-            for i in range(len(self))
-        ]
-        return Trace(
-            rows=rows,
-            metadata=dict(self.metadata),
-            ground_truth=list(self.ground_truth),
-            packets_generated=self.packets_generated,
-            packets_received=self.packets_received,
-            arrivals=self.arrivals,
-        )
-
-
-def as_frame(data) -> TraceFrame:
-    """Coerce a :class:`Trace` or :class:`TraceFrame` to a frame.
-
-    The single conversion point the batch layers use: a frame passes
-    through untouched, a legacy trace is columnarized once at the
-    boundary.
-    """
-    if isinstance(data, TraceFrame):
-        return data
-    if hasattr(data, "rows"):
-        return TraceFrame.from_trace(data)
-    raise TypeError(f"expected Trace or TraceFrame, got {type(data).__name__}")
 
 
 def frame_from_network(
@@ -314,8 +234,6 @@ def frame_from_network(
     Reads the collector's column buffers directly — no per-snapshot
     objects are materialized anywhere between the sink and the frame.
     """
-    from repro.traces.records import GroundTruth
-
     timelines = [
         network.collector.timelines[nid]
         for nid in sorted(network.collector.timelines)

@@ -1,10 +1,8 @@
-"""Trace persistence: JSONL (lossless, diff-able), NPZ (fast, columnar)
+"""Frame persistence: JSONL (lossless, diff-able), NPZ (fast, columnar)
 and CSV (snapshot matrix only).
 
 Both real codecs speak :class:`repro.traces.frame.TraceFrame` natively —
-no per-snapshot objects are materialized on either side of the disk.  The
-legacy ``save_trace_jsonl`` / ``load_trace_jsonl`` helpers remain as thin
-shims that convert at the boundary.
+no per-snapshot objects are materialized on either side of the disk.
 
 * **JSONL** — one header object followed by one object per snapshot.
   Human-readable and stable under version control; metric values are
@@ -30,8 +28,7 @@ import numpy as np
 
 from repro.obs import get_registry
 from repro.metrics.catalog import METRIC_NAMES, NUM_METRICS
-from repro.traces.frame import PacketBatch, TraceFrame, as_frame
-from repro.traces.records import GroundTruth, Trace
+from repro.traces.frame import GroundTruth, PacketBatch, TraceFrame
 
 _FORMAT_VERSION = 1
 
@@ -226,16 +223,6 @@ def load_frame_jsonl(path: Union[str, Path]) -> TraceFrame:
     )
 
 
-def save_trace_jsonl(trace: Union[Trace, TraceFrame], path: Union[str, Path]) -> None:
-    """Legacy shim: write a trace (or frame) to JSONL."""
-    save_frame_jsonl(as_frame(trace), path)
-
-
-def load_trace_jsonl(path: Union[str, Path]) -> Trace:
-    """Legacy shim: read a JSONL trace as the object representation."""
-    return load_frame_jsonl(path).to_trace()
-
-
 # --------------------------------------------------------------------------
 # NPZ
 # --------------------------------------------------------------------------
@@ -366,7 +353,7 @@ def iter_frame_chunks(
         return
     labels = {"format": fmt}
     m_reads = registry.counter(
-        "repro_io_chunk_reads_total", "Trace chunks read from disk", labels
+        "repro_io_chunk_reads_total", "Frame chunks read from disk", labels
     )
     m_rows = registry.counter(
         "repro_io_chunk_rows_total", "Snapshot rows read via chunks", labels
@@ -529,13 +516,12 @@ def detect_format(path: Union[str, Path]) -> str:
 
 
 def save_frame(
-    frame: Union[Trace, TraceFrame],
+    frame: TraceFrame,
     path: Union[str, Path],
     fmt: Optional[str] = None,
 ) -> None:
-    """Write a trace/frame in the requested (or suffix-inferred) format."""
+    """Write a frame in the requested (or suffix-inferred) format."""
     fmt = fmt or detect_format(path)
-    frame = as_frame(frame)
     if fmt == "jsonl":
         save_frame_jsonl(frame, path)
     elif fmt == "npz":
@@ -559,11 +545,8 @@ def load_frame(path: Union[str, Path], fmt: Optional[str] = None) -> TraceFrame:
 # --------------------------------------------------------------------------
 
 
-def export_snapshots_csv(
-    trace: Union[Trace, TraceFrame], path: Union[str, Path]
-) -> None:
+def export_snapshots_csv(frame: TraceFrame, path: Union[str, Path]) -> None:
     """Write the snapshot matrix as CSV with named metric columns."""
-    frame = as_frame(trace)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:

@@ -9,24 +9,15 @@ the sink PRR the way the paper observes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.traces.frame import TraceFrame
-from repro.traces.records import Trace
-
-
-def _arrival_times(trace: Union[Trace, TraceFrame]) -> np.ndarray:
-    """Arrival timestamps as one float array (no tuple materialization)."""
-    columnar = getattr(trace, "arrival_times", None)
-    if columnar is not None:
-        return np.asarray(columnar, dtype=float)
-    return np.array([t for t, _ in trace.arrivals], dtype=float)
 
 
 def prr_series(
-    trace: Union[Trace, TraceFrame],
+    trace: TraceFrame,
     bin_seconds: float = 3600.0,
     n_sensor_nodes: Optional[int] = None,
     start: Optional[float] = None,
@@ -48,7 +39,7 @@ def prr_series(
     if n_sensor_nodes is None:
         n_nodes = int(trace.metadata.get("n_nodes", 0))
         n_sensor_nodes = max(1, n_nodes - 1)
-    arrival_times = _arrival_times(trace)
+    arrival_times = trace.arrival_times
     if start is None:
         start = 0.0
     if end is None:
@@ -69,7 +60,7 @@ def prr_series(
 
 
 def latency_series(
-    trace: Union[Trace, TraceFrame],
+    trace: TraceFrame,
     bin_seconds: float = 3600.0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """End-to-end snapshot latency over time.
@@ -85,12 +76,8 @@ def latency_series(
     """
     if len(trace) == 0:
         return np.array([]), np.array([])
-    if isinstance(trace, TraceFrame):
-        generated = trace.generated_at
-        latencies = trace.received_at - trace.generated_at
-    else:
-        generated = np.array([r.generated_at for r in trace.rows])
-        latencies = np.array([r.received_at - r.generated_at for r in trace.rows])
+    generated = trace.generated_at
+    latencies = trace.received_at - trace.generated_at
     start = float(generated.min())
     end = float(generated.max()) + bin_seconds
     edges = np.arange(start, end + bin_seconds, bin_seconds)

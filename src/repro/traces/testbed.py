@@ -30,7 +30,6 @@ from repro.simnet.radio import RadioParams
 from repro.simnet.topology import Topology, grid_topology
 from repro.traces.frame import TraceFrame, frame_from_network
 from repro.traces.io import load_frame_npz, save_frame_npz
-from repro.traces.records import Trace
 
 
 class TestbedScenario(enum.Enum):
@@ -231,26 +230,3 @@ def generate_testbed_frame(
     if npz_path is not None:
         save_frame_npz(frame, npz_path)
     return frame
-
-
-def generate_testbed_trace(
-    scenario: TestbedScenario = TestbedScenario.EXPANSIVE,
-    seed: int = 7,
-    duration_s: float = 7200.0,
-    warmup_s: float = 1200.0,
-    report_period_s: float = 180.0,
-    rows: int = 9,
-    cols: int = 5,
-    spacing_m: float = 8.0,
-) -> Trace:
-    """Legacy shim: :func:`generate_testbed_frame` as a :class:`Trace`."""
-    return generate_testbed_frame(
-        scenario=scenario,
-        seed=seed,
-        duration_s=duration_s,
-        warmup_s=warmup_s,
-        report_period_s=report_period_s,
-        rows=rows,
-        cols=cols,
-        spacing_m=spacing_m,
-    ).to_trace()

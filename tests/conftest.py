@@ -1,7 +1,8 @@
 """Shared fixtures: expensive traces are built once per session.
 
 Trace generation dominates test cost, so every trace used by more than one
-test lives here as a session-scoped fixture.  The CitySee generator also
+test lives here as a session-scoped fixture.  Every fixture is a
+:class:`~repro.traces.frame.TraceFrame`.  The CitySee generator also
 caches to disk (keyed by parameters), which makes repeat ``pytest`` runs
 much faster.
 """
@@ -18,33 +19,33 @@ from repro.simnet.topology import grid_topology
 @pytest.fixture(scope="session")
 def testbed_trace():
     """The paper's testbed run (expansive scenario, seed 7)."""
-    from repro.traces.testbed import TestbedScenario, generate_testbed_trace
+    from repro.traces.testbed import TestbedScenario, generate_testbed_frame
 
-    return generate_testbed_trace(TestbedScenario.EXPANSIVE, seed=7)
+    return generate_testbed_frame(TestbedScenario.EXPANSIVE, seed=7)
 
 
 @pytest.fixture(scope="session")
 def testbed_trace_local():
     """The paper's testbed run (local scenario, seed 7)."""
-    from repro.traces.testbed import TestbedScenario, generate_testbed_trace
+    from repro.traces.testbed import TestbedScenario, generate_testbed_frame
 
-    return generate_testbed_trace(TestbedScenario.LOCAL, seed=7)
+    return generate_testbed_frame(TestbedScenario.LOCAL, seed=7)
 
 
 @pytest.fixture(scope="session")
 def tiny_citysee_trace():
     """A tiny CitySee-like run with background faults (disk-cached)."""
-    from repro.traces.citysee import CitySeeProfile, generate_citysee_trace
+    from repro.traces.citysee import CitySeeProfile, generate_citysee_frame
 
-    return generate_citysee_trace(CitySeeProfile.tiny(), episode=False)
+    return generate_citysee_frame(CitySeeProfile.tiny(), episode=False)
 
 
 @pytest.fixture(scope="session")
 def multicause_trace():
     """The controlled three-simultaneous-hazards trace."""
-    from repro.analysis.baseline_comparison import build_multicause_trace
+    from repro.analysis.baseline_comparison import build_multicause_frame
 
-    return build_multicause_trace()
+    return build_multicause_frame()
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.states import StreamedState, StreamingStateBuilder
+from repro.core.states import (
+    StateMatrix,
+    StreamedState,
+    StreamingStateBuilder,
+    stack_states,
+)
 from repro.core.streaming import (
     _SUMMARY_IDX,
     _SUMMARY_KEYS,
@@ -67,6 +72,20 @@ class PacketLoopBuilder(StreamingStateBuilder):
             time_from=prev_time,
             time_to=generated_at,
         )
+
+
+def replay_frame_rows(frame, **builder_kwargs) -> StateMatrix:
+    """Every frame row through :meth:`PacketLoopBuilder.push`, in stored
+    (node, epoch) order: the per-node differencing loop, row by row."""
+    builder = PacketLoopBuilder(**builder_kwargs)
+    states = [
+        builder.push(
+            frame.node_ids[i], frame.epochs[i], frame.generated_at[i],
+            frame.values[i],
+        )
+        for i in range(len(frame))
+    ]
+    return stack_states([s for s in states if s is not None])
 
 
 class PacketLoopSession(StreamingDiagnosisSession):

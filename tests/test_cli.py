@@ -80,11 +80,11 @@ def test_simulate_train_diagnose_flow(tmp_path, capsys):
 
 
 def test_incidents_command(tmp_path, capsys):
-    from repro.analysis.baseline_comparison import build_multicause_trace
-    from repro.traces.io import save_trace_jsonl
+    from repro.analysis.baseline_comparison import build_multicause_frame
+    from repro.traces.io import save_frame_jsonl
 
     trace_path = tmp_path / "mc.jsonl"
-    save_trace_jsonl(build_multicause_trace(seed=21), trace_path)
+    save_frame_jsonl(build_multicause_frame(seed=21), trace_path)
     rc = main(["incidents", str(trace_path), "--rank", "10", "--limit", "5"])
     assert rc == 0
     out = capsys.readouterr().out
@@ -92,11 +92,11 @@ def test_incidents_command(tmp_path, capsys):
 
 
 def test_evaluate_command(tmp_path, capsys):
-    from repro.analysis.baseline_comparison import build_multicause_trace
-    from repro.traces.io import save_trace_jsonl
+    from repro.analysis.baseline_comparison import build_multicause_frame
+    from repro.traces.io import save_frame_jsonl
 
     trace_path = tmp_path / "mc.jsonl"
-    save_trace_jsonl(build_multicause_trace(seed=21), trace_path)
+    save_frame_jsonl(build_multicause_frame(seed=21), trace_path)
     rc = main(["evaluate", str(trace_path), "--rank", "10"])
     assert rc == 0
     out = capsys.readouterr().out
@@ -106,15 +106,15 @@ def test_evaluate_command(tmp_path, capsys):
 def test_evaluate_rejects_gt_free_trace(tmp_path, capsys):
     from repro.simnet.network import Network, NetworkConfig
     from repro.simnet.topology import grid_topology
-    from repro.traces.io import save_trace_jsonl
-    from repro.traces.records import trace_from_network
+    from repro.traces.frame import frame_from_network
+    from repro.traces.io import save_frame_jsonl
 
     net = Network(grid_topology(rows=3, cols=3, spacing=9.0),
                   NetworkConfig(report_period_s=60.0, seed=1,
                                 max_range_m=40.0))
     net.run(600.0)
     trace_path = tmp_path / "clean.jsonl"
-    save_trace_jsonl(trace_from_network(net), trace_path)
+    save_frame_jsonl(frame_from_network(net), trace_path)
     rc = main(["evaluate", str(trace_path)])
     assert rc == 1
 

@@ -49,7 +49,7 @@ def test_frame(testbed_trace):
     from repro.analysis.testbed_experiments import train_test_split
 
     _train, test = train_test_split(testbed_trace)
-    return test.to_frame()
+    return test
 
 
 def _start(tool, **overrides):

@@ -28,7 +28,6 @@ from repro.core.streaming import (
     _arrival_order,
 )
 from repro.obs import MetricsRegistry
-from repro.traces.frame import as_frame
 
 from . import diagnosis_oracle as oracle
 
@@ -66,7 +65,7 @@ def _event_key(event):
 
 @pytest.fixture(scope="module")
 def frame(testbed_trace):
-    return as_frame(testbed_trace)
+    return testbed_trace
 
 
 @pytest.fixture(scope="module")

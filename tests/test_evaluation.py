@@ -13,7 +13,13 @@ from repro.analysis.evaluation import (
 )
 from repro.core.pipeline import VN2, VN2Config
 from repro.core.states import StateProvenance
-from repro.traces.records import GroundTruth, Trace
+from repro.metrics.catalog import NUM_METRICS
+from repro.traces.frame import GroundTruth, TraceFrame
+
+
+def empty_frame(**kwargs):
+    return TraceFrame(node_ids=[], epochs=[], generated_at=[], received_at=[],
+                      values=np.zeros((0, NUM_METRICS)), **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +44,7 @@ def test_kind_score_degenerate():
 
 
 def test_truth_kinds_window_and_node_scoping():
-    trace = Trace(rows=[], ground_truth=[
+    trace = empty_frame(ground_truth=[
         GroundTruth("routing_loop", (5, 6), 100.0, 200.0),
         GroundTruth("interference", (7,), 100.0, 200.0),
     ])
@@ -81,4 +87,4 @@ def test_threshold_sweep_tradeoff(fitted, multicause_trace):
 
 def test_empty_trace_rejected(fitted):
     with pytest.raises(ValueError):
-        evaluate_diagnoses(fitted, Trace(rows=[]))
+        evaluate_diagnoses(fitted, empty_frame())

@@ -33,7 +33,6 @@ from repro.service import protocol
 from repro.service.client import ServiceClient
 from repro.service.loadgen import replay_trace
 from repro.service.server import ServiceConfig, start_service_thread
-from repro.traces.frame import as_frame
 
 #: Floats ``repr`` writes in every notation it has.
 EDGE_FLOATS = [
@@ -229,7 +228,7 @@ class _Reader(threading.Thread):
 def test_served_event_bytes_equal_generic_encoder(
     testbed_tool, testbed_trace, workers
 ):
-    frame = as_frame(testbed_trace)
+    frame = testbed_trace
     deployment = "bytes-check"
     reference = []  # (event, flushed)
     for update in testbed_tool.diagnose_stream(frame):

@@ -21,14 +21,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.catalog import NUM_METRICS
-from repro.traces.frame import TraceFrame
+from repro.traces.frame import GroundTruth, TraceFrame
 from repro.traces.io import (
     load_frame_jsonl,
     load_frame_npz,
     save_frame_jsonl,
     save_frame_npz,
 )
-from repro.traces.records import GroundTruth
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 

@@ -9,8 +9,9 @@ reboot).  These tests pin two things across future changes:
    exceptions are found, the loop/reboot signatures remain diagnosable.
 
 If the simulator's random streams or protocol logic change, regenerate
-the file with the snippet in its header metadata and review the diff —
-the point is that such changes become *visible*, not forbidden.
+the file with ``tests/data/regenerate_golden.py`` and review the diff —
+the point is that such changes become *visible*, not forbidden.  The
+byte-for-byte test below fails until that is done.
 """
 
 from pathlib import Path
@@ -22,27 +23,36 @@ from repro.core.exceptions import detect_exceptions
 from repro.core.pipeline import VN2, VN2Config
 from repro.core.states import build_states
 from repro.metrics.catalog import METRIC_INDEX
-from repro.traces.io import load_trace_jsonl
+from repro.traces.io import load_frame_jsonl
+
+from .data.regenerate_golden import write_golden
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_trace.jsonl"
 
 
 @pytest.fixture(scope="module")
 def golden():
-    return load_trace_jsonl(GOLDEN)
+    return load_frame_jsonl(GOLDEN)
 
 
 def test_golden_loads_with_expected_shape(golden):
     assert len(golden) == 217
     assert golden.delivery_ratio() == pytest.approx(0.9661, abs=1e-3)
-    assert len(golden.node_ids) == 15
+    assert len(golden.unique_node_ids) == 15
     kinds = {g.kind for g in golden.ground_truth}
     assert kinds == {"routing_loop", "node_reboot"}
 
 
+def test_golden_file_regenerates_byte_for_byte(tmp_path):
+    """The committed file is exactly what the simulator writes today."""
+    out = tmp_path / "golden_trace.jsonl"
+    write_golden(out)
+    assert out.read_bytes() == GOLDEN.read_bytes()
+
+
 def test_golden_states_and_exceptions(golden):
     states = build_states(golden)
-    assert len(states) == 217 - len(golden.node_ids)
+    assert len(states) == 217 - len(golden.unique_node_ids)
     exceptions = detect_exceptions(states)
     assert 2 <= len(exceptions) <= len(states) // 2
 

@@ -7,7 +7,7 @@ from repro.core.incidents import (
     Incident,
     IncidentAggregator,
     Observation,
-    incidents_from_trace,
+    incidents_from_frame,
 )
 from repro.core.pipeline import VN2, VN2Config
 from repro.core.states import build_states
@@ -114,7 +114,7 @@ def test_empty_states_no_incidents(multicause_tool):
 
 
 def test_incidents_recover_the_fault_window(multicause_tool, multicause_trace):
-    incidents = incidents_from_trace(multicause_tool, multicause_trace)
+    incidents = incidents_from_frame(multicause_tool, multicause_trace)
     assert incidents, "expected at least one incident"
     window = multicause_trace.metadata["window"]
     # the strongest incidents overlap the injected fault window
@@ -127,7 +127,7 @@ def test_incidents_recover_the_fault_window(multicause_tool, multicause_trace):
 
 
 def test_incident_nodes_are_plausible(multicause_tool, multicause_trace):
-    incidents = incidents_from_trace(multicause_tool, multicause_trace)
+    incidents = incidents_from_frame(multicause_tool, multicause_trace)
     window = multicause_trace.metadata["window"]
     in_window = [
         inc for inc in incidents if inc.overlaps(window[0], window[1] + 600.0)

@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import nnls
 
 from repro.core.inference import (
     active_causes,
-    infer_single,
-    infer_weights,
+    infer_weights_batch,
     sparsify_inferred,
 )
+
+
+def infer_one(Psi, state):
+    """One state through the batch solver: ``(w, residual)``."""
+    W, residuals = infer_weights_batch(Psi, state)
+    return W[0], float(residuals[0])
 
 
 def psi_matrices():
@@ -32,7 +38,7 @@ def psi_matrices():
 def test_nnls_weights_nonnegative_and_optimalish(Psi, seed):
     rng = np.random.default_rng(seed)
     state = rng.uniform(0, 5, size=Psi.shape[1])
-    weights, residual = infer_single(Psi, state)
+    weights, residual = infer_one(Psi, state)
     assert np.all(weights >= 0)
     assert residual == pytest.approx(
         np.linalg.norm(state - weights @ Psi), abs=1e-8
@@ -48,14 +54,14 @@ def test_exact_recovery_of_planted_weights():
     Psi = rng.uniform(0, 1, size=(4, 20))
     w_true = np.array([0.0, 2.0, 0.5, 0.0])
     state = w_true @ Psi
-    weights, residual = infer_single(Psi, state)
+    weights, residual = infer_one(Psi, state)
     assert residual < 1e-8
     assert np.allclose(weights, w_true, atol=1e-6)
 
 
 def test_zero_state_zero_weights():
     Psi = np.random.default_rng(0).uniform(0, 1, size=(3, 8))
-    weights, residual = infer_single(Psi, np.zeros(8))
+    weights, residual = infer_one(Psi, np.zeros(8))
     assert np.allclose(weights, 0.0)
     assert residual == pytest.approx(0.0)
 
@@ -64,16 +70,16 @@ def test_batch_matches_single():
     rng = np.random.default_rng(1)
     Psi = rng.uniform(0, 1, size=(3, 10))
     states = rng.uniform(0, 1, size=(5, 10))
-    W, residuals = infer_weights(Psi, states)
+    W, residuals = infer_weights_batch(Psi, states)
     for i in range(5):
-        w, r = infer_single(Psi, states[i])
+        w, r = nnls(Psi.T, states[i])
         assert np.allclose(W[i], w)
         assert residuals[i] == pytest.approx(r)
 
 
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        infer_single(np.ones((2, 5)), np.ones(4))
+        infer_weights_batch(np.ones((2, 5)), np.ones(4))
 
 
 def test_active_causes_threshold():

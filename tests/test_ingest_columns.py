@@ -33,7 +33,6 @@ from repro.service import protocol
 from repro.service.client import _packet_obj, http_get_json
 from repro.service.metrics import SHARD_TOTAL_KEYS
 from repro.service.server import ServiceConfig, start_service_thread
-from repro.traces.frame import as_frame
 from tests.test_event_encoder import _Reader
 
 
@@ -398,7 +397,7 @@ def _serve(tool, workers, lines, n_packets):
 @pytest.mark.parametrize("workers", [0, 2])
 def test_served_shapes_give_identical_streams(testbed_tool, testbed_trace,
                                               workers):
-    frame = as_frame(testbed_trace)
+    frame = testbed_trace
     packets = [_packet_obj(p) for p in iter_packets(frame)]
     batches = [packets[i:i + 64] for i in range(0, len(packets), 64)]
     expected = [

@@ -16,7 +16,6 @@ import pytest
 from repro.core.streaming import iter_packets
 from repro.metrics.catalog import NUM_METRICS
 from repro.traces.frame import TraceFrame
-from repro.traces.records import SnapshotRow
 
 
 def _frame(rows):
@@ -101,8 +100,7 @@ def test_packet_values_follow_their_row():
 def test_iterables_pass_through_untouched():
     # An explicit packet stream is trusted as-is, even when unsorted.
     rows = [
-        SnapshotRow(node_id=5, epoch=1, generated_at=900.0,
-                    received_at=900.0, values=np.zeros(NUM_METRICS)),
+        (5, 1, 900.0, np.zeros(NUM_METRICS)),
         (2, 0, 100.0, np.ones(NUM_METRICS)),
     ]
     packets = list(iter_packets(rows))
@@ -113,9 +111,7 @@ def test_iterables_pass_through_untouched():
 
 
 def test_frame_replay_matches_manual_lexsort(testbed_trace):
-    from repro.traces.frame import as_frame
-
-    frame = as_frame(testbed_trace)
+    frame = testbed_trace
     order = np.lexsort((frame.epochs, frame.node_ids, frame.generated_at))
     expected = [
         (float(frame.generated_at[i]), int(frame.node_ids[i]),

@@ -36,7 +36,6 @@ from repro.core.sparsify import sparsify_weights
 from repro.core.streaming import StreamingDiagnosisSession, iter_packets
 from repro.metrics.catalog import NUM_METRICS
 from repro.obs import MetricsRegistry, set_registry
-from repro.traces.frame import as_frame
 
 M = 43  # metrics per state, as in the paper
 
@@ -218,7 +217,7 @@ def test_pattern_factor_is_cho_factor():
 
 def test_stream_of_flagged_states_is_bitwise_identical(testbed_tool, testbed_trace):
     """Every flagged state of a replay, in order, warm and cached."""
-    packets = list(iter_packets(as_frame(testbed_trace)))
+    packets = list(iter_packets(testbed_trace))
     sessions = []
     for reference in (False, True):
         session = StreamingDiagnosisSession(
@@ -299,7 +298,7 @@ def test_diagnose_equals_cold_streamed_diagnosis(testbed_tool, testbed_trace):
         warm_start=False,
     )
     compared = 0
-    for packet in iter_packets(as_frame(testbed_trace)):
+    for packet in iter_packets(testbed_trace):
         update = session.push_packet(*packet)
         if update is None or update.report is None:
             continue
@@ -345,7 +344,7 @@ def test_session_counts_solves_in_its_own_registry(
             threshold_ratio=0.001,
             warm_start=warm,
         )
-        for packet in iter_packets(as_frame(testbed_trace)):
+        for packet in iter_packets(testbed_trace):
             session.push_packet(*packet)
     finally:
         set_registry(previous)

@@ -13,7 +13,7 @@ def report(multicause_trace):
 
 
 def test_covers_all_reporting_nodes(report, multicause_trace):
-    assert len(report.nodes) == len(multicause_trace.node_ids)
+    assert len(report.nodes) == len(multicause_trace.unique_node_ids)
 
 
 def test_continuity_bounded(report):

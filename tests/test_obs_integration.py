@@ -28,7 +28,6 @@ from repro.obs import (
     set_tracer,
     validate_exposition,
 )
-from repro.traces.frame import as_frame
 from repro.traces.io import save_frame
 
 
@@ -123,7 +122,7 @@ def test_diagnose_batch_records_nnls(tiny_citysee_tool, tiny_citysee_trace,
 
 
 def test_session_reports_into_injected_registry(testbed_tool, testbed_trace):
-    frame = as_frame(testbed_trace)
+    frame = testbed_trace
     registry = MetricsRegistry(enabled=True)
     labels = {"deployment": "lab"}
     session = StreamingDiagnosisSession(
@@ -172,7 +171,7 @@ def test_session_reports_into_injected_registry(testbed_tool, testbed_trace):
 def test_disabled_registry_session_still_counts(testbed_tool, testbed_trace):
     from repro.obs import NULL_REGISTRY
 
-    frame = as_frame(testbed_trace)
+    frame = testbed_trace
     session = StreamingDiagnosisSession(testbed_tool, registry=NULL_REGISTRY)
     for i, packet in enumerate(iter_packets(frame)):
         session.push_packet(*packet)
@@ -224,7 +223,7 @@ def deployed(testbed_tool, testbed_trace, tmp_path_factory):
     model = root / "model"
     testbed_tool.save(model)
     trace = root / "trace.jsonl"
-    save_frame(as_frame(testbed_trace), trace, fmt="jsonl")
+    save_frame(testbed_trace, trace, fmt="jsonl")
     return model, trace
 
 

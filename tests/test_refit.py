@@ -132,7 +132,10 @@ def test_latency_series_on_testbed(testbed_trace):
 
 
 def test_latency_series_empty():
-    from repro.traces.records import Trace
+    from repro.metrics.catalog import NUM_METRICS
+    from repro.traces.frame import TraceFrame
 
-    centers, medians = latency_series(Trace(rows=[]))
+    empty = TraceFrame(node_ids=[], epochs=[], generated_at=[], received_at=[],
+                       values=np.zeros((0, NUM_METRICS)))
+    centers, medians = latency_series(empty)
     assert len(centers) == 0

@@ -180,10 +180,9 @@ def _events(reply):
 
 def test_shard_worker_ingest_ack_and_drain(testbed_tool, testbed_trace):
     from repro.core.streaming import PacketBatch, iter_packets
-    from repro.traces.frame import as_frame
 
     state = ShardWorker("w3", testbed_tool, {})
-    packets = list(iter_packets(as_frame(testbed_trace)))[:400]
+    packets = list(iter_packets(testbed_trace))[:400]
     events = []
     for batch_id, start in enumerate(range(0, len(packets), 64)):
         ack = state.handle_ingest(protocol.shard_ingest(

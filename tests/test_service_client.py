@@ -31,8 +31,6 @@ from repro.service.client import (
 )
 from repro.service.loadgen import LoadgenReport, replay_trace
 from repro.service.server import ServiceConfig, start_service_thread
-from repro.traces.frame import as_frame
-from repro.traces.records import SnapshotRow
 
 
 # ---------------------------------------------------------------------------
@@ -73,16 +71,14 @@ def test_backoff_is_deterministic_under_seeded_rng():
 
 
 def test_packet_obj_accepts_all_three_shapes():
+    """An array tuple, a list tuple, and a pre-built row object."""
     values = np.linspace(0.0, 1.0, NUM_METRICS)
-    row = SnapshotRow(node_id=3, epoch=2, generated_at=100.0,
-                      received_at=101.5, values=values)
-    from_row = _packet_obj(row)
+    from_list = _packet_obj((3, 2, 100.0, values.tolist()))
     from_tuple = _packet_obj((3, 2, 100.0, values))
     passthrough = {"node_id": 3, "epoch": 2, "generated_at": 100.0,
                    "values": values.tolist()}
     assert _packet_obj(passthrough) is passthrough
-    assert from_row["received_at"] == 101.5
-    for obj in (from_row, from_tuple):
+    for obj in (from_list, from_tuple):
         assert (obj["node_id"], obj["epoch"], obj["generated_at"]) == (3, 2, 100.0)
         assert obj["values"] == values.tolist()
         # Wire objects must be JSON-serializable as-is.
@@ -91,11 +87,9 @@ def test_packet_obj_accepts_all_three_shapes():
 
 def test_all_shapes_parse_back_to_the_same_session_packet():
     values = np.linspace(0.0, 1.0, NUM_METRICS)
-    row = SnapshotRow(node_id=3, epoch=2, generated_at=100.0,
-                      received_at=101.5, values=values)
     parsed = [
         protocol.parse_packet(_packet_obj(p))
-        for p in (row, (3, 2, 100.0, values))
+        for p in ((3, 2, 100.0, values.tolist()), (3, 2, 100.0, values))
     ]
     for node_id, epoch, generated_at, got in parsed:
         assert (node_id, epoch, generated_at) == (3, 2, 100.0)
@@ -240,7 +234,7 @@ def test_unreachable_port_exhausts_backoff():
 
 @pytest.fixture(scope="module")
 def small_frame(testbed_trace):
-    frame = as_frame(testbed_trace)
+    frame = testbed_trace
     lo = float(frame.generated_at.min())
     hi = float(frame.generated_at.max())
     return frame.window(0.0, lo + 0.5 * (hi - lo))

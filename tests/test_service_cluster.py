@@ -30,7 +30,6 @@ from repro.service.backends import HashRing
 from repro.service.client import ServiceClient, http_get_json
 from repro.service.loadgen import replay_trace_fanout
 from repro.service.server import ServiceConfig, start_service_thread
-from repro.traces.frame import as_frame
 
 
 def _prometheus_text(handle) -> str:
@@ -116,7 +115,7 @@ class _Subscriber(threading.Thread):
 
 @pytest.fixture(scope="module")
 def testbed_frame(testbed_trace):
-    return as_frame(testbed_trace)
+    return testbed_trace
 
 
 def _pool_config(workers: int) -> ServiceConfig:

@@ -33,12 +33,11 @@ from repro.service import protocol
 from repro.service.backends import HashRing
 from repro.service.client import ServiceClient, http_get_json, http_post_json
 from repro.service.server import ServiceConfig, start_service_thread
-from repro.traces.frame import as_frame
 
 
 @pytest.fixture(scope="module")
 def testbed_frame(testbed_trace):
-    return as_frame(testbed_trace)
+    return testbed_trace
 
 
 @pytest.fixture(scope="module")

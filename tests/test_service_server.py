@@ -31,7 +31,6 @@ from repro.service import protocol
 from repro.service.client import ServiceClient, http_get_json
 from repro.service.loadgen import replay_trace
 from repro.service.server import ServiceConfig, start_service_thread
-from repro.traces.frame import as_frame
 
 
 def _reference_events(tool, source):
@@ -72,7 +71,7 @@ class _Subscriber(threading.Thread):
 
 @pytest.fixture(scope="module")
 def testbed_frame(testbed_trace):
-    return as_frame(testbed_trace)
+    return testbed_trace
 
 
 #: workers -> (/incidents, /api/topology node summaries) of the served

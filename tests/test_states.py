@@ -5,23 +5,29 @@ import pytest
 
 from repro.core.states import StateMatrix, StateProvenance, build_states
 from repro.metrics.catalog import NUM_METRICS
-from repro.traces.records import SnapshotRow, Trace
+from repro.traces.frame import TraceFrame
+
+
+def frame_of(rows):
+    """A frame from ``(node_id, epoch, generated_at, received_at, values)``."""
+    return TraceFrame(
+        node_ids=[r[0] for r in rows],
+        epochs=[r[1] for r in rows],
+        generated_at=[r[2] for r in rows],
+        received_at=[r[3] for r in rows],
+        values=np.array([r[4] for r in rows], dtype=float).reshape(
+            len(rows), NUM_METRICS
+        ),
+    )
 
 
 def make_trace(values_by_node):
-    rows = []
-    for node_id, values in values_by_node.items():
-        for epoch, vec in enumerate(values):
-            rows.append(
-                SnapshotRow(
-                    node_id=node_id,
-                    epoch=epoch,
-                    generated_at=epoch * 10.0,
-                    received_at=epoch * 10.0 + 1,
-                    values=np.full(NUM_METRICS, float(vec)),
-                )
-            )
-    return Trace(rows=rows)
+    return frame_of([
+        (node_id, epoch, epoch * 10.0, epoch * 10.0 + 1,
+         np.full(NUM_METRICS, float(vec)))
+        for node_id, values in values_by_node.items()
+        for epoch, vec in enumerate(values)
+    ])
 
 
 def test_differencing():
@@ -49,27 +55,25 @@ def test_nodes_do_not_cross():
 
 
 def test_epoch_gap_filtering():
-    rows = [
-        SnapshotRow(1, 0, 0.0, 1.0, np.zeros(NUM_METRICS)),
-        SnapshotRow(1, 5, 50.0, 51.0, np.ones(NUM_METRICS)),
-    ]
-    trace = Trace(rows=rows)
+    trace = frame_of([
+        (1, 0, 0.0, 1.0, np.zeros(NUM_METRICS)),
+        (1, 5, 50.0, 51.0, np.ones(NUM_METRICS)),
+    ])
     assert len(build_states(trace)) == 1
     assert len(build_states(trace, max_epoch_gap=2)) == 0
 
 
 def test_per_epoch_rate():
-    rows = [
-        SnapshotRow(1, 0, 0.0, 1.0, np.zeros(NUM_METRICS)),
-        SnapshotRow(1, 4, 40.0, 41.0, np.full(NUM_METRICS, 8.0)),
-    ]
-    trace = Trace(rows=rows)
+    trace = frame_of([
+        (1, 0, 0.0, 1.0, np.zeros(NUM_METRICS)),
+        (1, 4, 40.0, 41.0, np.full(NUM_METRICS, 8.0)),
+    ])
     states = build_states(trace, per_epoch_rate=True)
     assert states.values[0][0] == pytest.approx(2.0)
 
 
 def test_empty_trace():
-    states = build_states(Trace(rows=[]))
+    states = build_states(frame_of([]))
     assert len(states) == 0
 
 

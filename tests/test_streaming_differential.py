@@ -49,7 +49,6 @@ from repro.core.streaming import (
 from repro.obs import MetricsRegistry
 from repro.service.worker import _tracker_doc
 from repro.traces.citysee import CitySeeProfile, generate_citysee_frame
-from repro.traces.frame import as_frame
 
 from .packet_oracle import PacketLoopBuilder, PacketLoopSession
 
@@ -116,7 +115,6 @@ def assert_same_states(streamed, batch, context):
 
 
 def _assert_differential(tool, frame, context):
-    frame = as_frame(frame)
     positions = _positions(frame)
     threshold = tool.config.exception_threshold
     batch_states = build_states(frame)
@@ -182,14 +180,14 @@ def test_citysee_streaming_bit_identical_to_batch(preset, preset_run):
 
 def test_testbed_streaming_bit_identical_to_batch(testbed_tool, testbed_trace):
     n_states, n_exceptions, _ = _assert_differential(
-        testbed_tool, as_frame(testbed_trace), "testbed"
+        testbed_tool, testbed_trace, "testbed"
     )
     assert n_states > 0 and n_exceptions > 0
 
 
 def test_diagnose_stream_flushes_open_incidents(testbed_tool, testbed_trace):
     """The generator facade ends with a state-less flush update."""
-    updates = list(testbed_tool.diagnose_stream(as_frame(testbed_trace)))
+    updates = list(testbed_tool.diagnose_stream(testbed_trace))
     assert updates, "stream produced no updates"
     opened = [e for u in updates for e in u.events if e.kind == "open"]
     closed = [e for u in updates for e in u.events if e.kind == "close"]
@@ -226,7 +224,7 @@ def test_stat_less_model_diagnoses_everything(tmp_path, testbed_tool,
     no screen, every state diagnosed."""
     legacy = _legacy_model(testbed_tool, tmp_path / "model")
 
-    frame = as_frame(testbed_trace)
+    frame = testbed_trace
     session = StreamingDiagnosisSession(legacy)
     updates = list(session.process(frame))
     assert updates and all(u.is_exception for u in updates)
@@ -388,14 +386,14 @@ def _assert_diagnose_stream_matches(tool, packets, **kwargs):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_push_batch_matches_push_packet(seed, testbed_tool, testbed_trace):
-    packets = list(iter_packets(as_frame(testbed_trace)))
+    packets = list(iter_packets(testbed_trace))
     runs = _entry_points(testbed_tool, packets, seed)
     _assert_same_outputs(runs)
     assert runs["oracle"][0]["counters"]["exceptions"] > 0
     if seed == 0:
         _assert_diagnose_stream_matches(testbed_tool, packets)
         _assert_diagnose_stream_matches(
-            testbed_tool, as_frame(testbed_trace)
+            testbed_tool, testbed_trace
         )
 
 
@@ -424,7 +422,7 @@ def test_push_batch_matches_on_disordered_lossy_stream(
 ):
     rng = np.random.default_rng(11)
     packets = [
-        p for p in iter_packets(as_frame(testbed_trace))
+        p for p in iter_packets(testbed_trace)
         if rng.random() > 0.15  # loss opens epoch gaps
     ]
     packets = _shuffled_arrivals(packets, rng)
@@ -437,7 +435,7 @@ def test_push_batch_matches_with_stat_less_model(
     tmp_path, testbed_tool, testbed_trace
 ):
     legacy = _legacy_model(testbed_tool, tmp_path / "model")
-    packets = list(iter_packets(as_frame(testbed_trace)))[:1500]
+    packets = list(iter_packets(testbed_trace))[:1500]
     runs = _entry_points(legacy, packets, 3)
     _assert_same_outputs(runs)
     counters = runs["oracle"][0]["counters"]
@@ -446,8 +444,8 @@ def test_push_batch_matches_with_stat_less_model(
 
 
 def test_push_batch_matches_across_set_model(testbed_tool, testbed_trace):
-    rotated = VN2(VN2Config(rank=6)).fit(as_frame(testbed_trace))
-    packets = list(iter_packets(as_frame(testbed_trace)))
+    rotated = VN2(VN2Config(rank=6)).fit(testbed_trace)
+    packets = list(iter_packets(testbed_trace))
     runs = _entry_points(testbed_tool, packets, 4, rotate_to=rotated)
     _assert_same_outputs(runs)
     labels = {

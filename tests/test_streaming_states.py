@@ -16,13 +16,12 @@ import pytest
 from repro.core.states import (
     StreamingStateBuilder,
     build_states,
-    build_states_python,
     stack_states,
 )
 from repro.metrics.catalog import NUM_METRICS
-from repro.traces.frame import TraceFrame, as_frame
+from repro.traces.frame import TraceFrame
 
-from .packet_oracle import PacketLoopBuilder
+from .packet_oracle import PacketLoopBuilder, replay_frame_rows
 
 
 def _make_frame(rows):
@@ -118,9 +117,8 @@ def _streamed(states):
 
 
 def test_matches_reference_loop_on_trace(testbed_trace):
-    frame = as_frame(testbed_trace)
-    batch = build_states(frame)
-    reference = build_states_python(testbed_trace)
+    batch = build_states(testbed_trace)
+    reference = replay_frame_rows(testbed_trace)
     _assert_states_equal(batch, reference)
 
 

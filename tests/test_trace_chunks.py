@@ -14,8 +14,6 @@ import threading
 
 import numpy as np
 import pytest
-
-from repro.traces.frame import as_frame
 from repro.traces.io import (
     iter_frame_chunks,
     load_frame,
@@ -27,7 +25,7 @@ from repro.traces.io import (
 
 @pytest.fixture(scope="module")
 def frame(testbed_trace):
-    return as_frame(testbed_trace)
+    return testbed_trace
 
 
 @pytest.fixture(scope="module", params=["jsonl", "npz"])

@@ -1,19 +1,20 @@
 """Property-style tests of the columnar trace backbone.
 
-Exercises the Trace ⇄ TraceFrame round-trip (bit-exact metric matrices,
-ordering invariant), the JSONL/NPZ codecs, the empty-trace and
-single-node edge cases, the vectorized state builder against the legacy
-Python loop, and the batch NNLS path against per-state inference.
+Exercises the ordering invariant, the JSONL/NPZ codecs, the empty-trace
+and single-node edge cases, the vectorized state builder against the
+per-packet oracle loop (``tests/packet_oracle.py``), and the batch NNLS
+path against scipy's per-state Lawson-Hanson solve.
 """
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
-from repro.core.inference import infer_single, infer_weights_batch
+from repro.core.inference import infer_weights_batch
 from repro.core.pipeline import VN2, VN2Config
-from repro.core.states import build_states, build_states_python
+from repro.core.states import build_states
 from repro.metrics.catalog import NUM_METRICS
-from repro.traces.frame import TraceFrame, as_frame
+from repro.traces.frame import GroundTruth, TraceFrame
 from repro.traces.io import (
     load_frame,
     load_frame_jsonl,
@@ -22,7 +23,8 @@ from repro.traces.io import (
     save_frame_jsonl,
     save_frame_npz,
 )
-from repro.traces.records import GroundTruth, SnapshotRow, Trace
+
+from .packet_oracle import replay_frame_rows
 
 
 def random_frame(seed: int, n_nodes: int = 5, epochs_per_node: int = 8) -> TraceFrame:
@@ -72,30 +74,8 @@ def assert_frames_equal(a: TraceFrame, b: TraceFrame) -> None:
 
 
 # ----------------------------------------------------------------------
-# Trace ⇄ TraceFrame round-trip
+# construction
 # ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_trace_frame_roundtrip_bit_exact(seed):
-    frame = random_frame(seed)
-    back = frame.to_trace().to_frame()
-    assert_frames_equal(frame, back)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_frame_trace_roundtrip_preserves_rows(seed):
-    frame = random_frame(seed)
-    trace = frame.to_trace()
-    again = TraceFrame.from_trace(trace).to_trace()
-    assert len(trace) == len(again)
-    for r1, r2 in zip(trace.rows, again.rows):
-        assert r1.node_id == r2.node_id
-        assert r1.epoch == r2.epoch
-        assert r1.generated_at == r2.generated_at
-        assert r1.received_at == r2.received_at
-        assert np.array_equal(r1.values, r2.values)
-    assert trace.arrivals == again.arrivals
 
 
 def test_constructor_restores_sort_invariant():
@@ -113,14 +93,6 @@ def test_constructor_restores_sort_invariant():
     keys = list(zip(shuffled.node_ids.tolist(), shuffled.epochs.tolist()))
     assert keys == sorted(keys)
     assert np.array_equal(shuffled.values, frame.values)
-
-
-def test_as_frame_passthrough_and_typeerror():
-    frame = random_frame(1)
-    assert as_frame(frame) is frame
-    assert isinstance(as_frame(frame.to_trace()), TraceFrame)
-    with pytest.raises(TypeError):
-        as_frame([1, 2, 3])
 
 
 def test_frame_rejects_mismatched_columns():
@@ -192,11 +164,11 @@ def test_save_load_frame_dispatch(tmp_path):
 
 
 def test_empty_trace_roundtrip(tmp_path):
-    empty = Trace(rows=[])
-    frame = empty.to_frame()
+    frame = TraceFrame(
+        node_ids=[], epochs=[], generated_at=[], received_at=[], values=[]
+    )
     assert len(frame) == 0
     assert frame.values.shape == (0, NUM_METRICS)
-    assert len(frame.to_trace()) == 0
     assert frame.unique_node_ids == []
     assert list(frame.node_slices()) == []
     assert frame.time_span() == (0.0, 0.0)
@@ -230,7 +202,7 @@ def test_single_node_frame(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# vectorized states vs the legacy loop
+# vectorized states vs the per-packet oracle loop
 # ----------------------------------------------------------------------
 
 
@@ -239,7 +211,7 @@ def test_single_node_frame(tmp_path):
 def test_build_states_matches_python_loop(seed, max_epoch_gap):
     frame = random_frame(seed, n_nodes=6, epochs_per_node=10)
     fast = build_states(frame, max_epoch_gap=max_epoch_gap)
-    slow = build_states_python(frame.to_trace(), max_epoch_gap=max_epoch_gap)
+    slow = replay_frame_rows(frame, max_epoch_gap=max_epoch_gap)
     assert np.array_equal(fast.values, slow.values)
     assert np.array_equal(fast.node_ids, slow.node_ids)
     assert np.array_equal(fast.epochs_from, slow.epochs_from)
@@ -251,7 +223,7 @@ def test_build_states_matches_python_loop(seed, max_epoch_gap):
 def test_build_states_per_epoch_rate_matches(seed=3):
     frame = random_frame(seed, n_nodes=4, epochs_per_node=9)
     fast = build_states(frame, per_epoch_rate=True)
-    slow = build_states_python(frame.to_trace(), per_epoch_rate=True)
+    slow = replay_frame_rows(frame, per_epoch_rate=True)
     assert np.allclose(fast.values, slow.values)
 
 
@@ -261,6 +233,7 @@ def test_build_states_per_epoch_rate_matches(seed=3):
 
 
 def test_infer_weights_batch_matches_infer_single():
+    """Against scipy's per-state Lawson-Hanson NNLS, state by state."""
     rng = np.random.default_rng(5)
     r, n = 12, 60
     Psi = np.abs(rng.normal(size=(r, NUM_METRICS)))
@@ -269,7 +242,7 @@ def test_infer_weights_batch_matches_infer_single():
     states = W @ Psi + 0.01 * rng.normal(size=(n, NUM_METRICS))
     batch_w, batch_res = infer_weights_batch(Psi, states)
     for i in range(n):
-        w, res = infer_single(Psi, states[i])
+        w, res = nnls(Psi.T, states[i])
         np.testing.assert_allclose(batch_w[i], w, atol=1e-8)
         np.testing.assert_allclose(batch_res[i], res, atol=1e-8)
 

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.traces.citysee import CitySeeProfile, generate_citysee_trace
-from repro.traces.io import load_trace_jsonl
-from repro.traces.testbed import (
-    TestbedScenario,
-    build_failure_schedule,
-    generate_testbed_trace,
-)
+from repro.traces.citysee import CitySeeProfile, generate_citysee_frame
+from repro.traces.testbed import TestbedScenario, build_failure_schedule
 from repro.simnet.topology import grid_topology
 
 
@@ -17,7 +12,7 @@ def test_testbed_trace_shape(testbed_trace):
     # 45-node grid, ~2 h of 3-minute reports: in the ballpark of the
     # paper's 1,639 packets
     assert 1000 <= len(testbed_trace) <= 2600
-    assert len(testbed_trace.node_ids) >= 40
+    assert len(testbed_trace.unique_node_ids) >= 40
     assert testbed_trace.delivery_ratio() > 0.8
 
 
@@ -81,12 +76,12 @@ def test_citysee_cache_roundtrip(tmp_path):
         n_nodes=12, days=0.5, day_seconds=1800.0, report_period_s=60.0,
         area=(150.0, 100.0), comm_radius_m=80.0, seed=5,
     )
-    first = generate_citysee_trace(profile, use_cache=True, cache_dir=tmp_path)
+    first = generate_citysee_frame(profile, use_cache=True, cache_dir=tmp_path)
     files = list(tmp_path.glob("citysee-*.jsonl"))
     assert len(files) == 1
-    second = generate_citysee_trace(profile, use_cache=True, cache_dir=tmp_path)
+    second = generate_citysee_frame(profile, use_cache=True, cache_dir=tmp_path)
     assert len(first) == len(second)
-    assert np.allclose(first.rows[0].values, second.rows[0].values, atol=1e-5)
+    assert np.allclose(first.values[0], second.values[0], atol=1e-5)
 
 
 def test_citysee_profiles_have_same_epochs_per_day():
@@ -103,7 +98,7 @@ def test_citysee_episode_recorded_in_ground_truth(tmp_path):
         reboots_per_day=0.0, interference_per_day=0.0, loops_per_day=0.0,
         degradations_per_day=0.0, bursts_per_day=0.0, drains_per_day=0.0,
     )
-    trace = generate_citysee_trace(
+    trace = generate_citysee_frame(
         profile, episode=True, episode_days=(0.5, 1.0), use_cache=False
     )
     kinds = {g.kind for g in trace.ground_truth}

@@ -1,65 +1,64 @@
-"""Tests for trace records, IO round-trip and PRR analysis."""
+"""Tests for the trace frame's views, JSONL/CSV IO and PRR analysis."""
 
 import numpy as np
 import pytest
 
 from repro.metrics.catalog import NUM_METRICS
-from repro.traces.io import export_snapshots_csv, load_trace_jsonl, save_trace_jsonl
+from repro.traces.frame import GroundTruth, TraceFrame
+from repro.traces.io import export_snapshots_csv, load_frame_jsonl, save_frame_jsonl
 from repro.traces.prr import degraded_windows, prr_series
-from repro.traces.records import GroundTruth, SnapshotRow, Trace
 
 
 def make_trace(n_nodes=3, epochs=5, period=100.0):
-    rows = []
-    arrivals = []
-    rng = np.random.default_rng(0)
+    node_ids, epoch_ids, generated = [], [], []
+    arrival_times, arrival_nodes = [], []
     for node in range(1, n_nodes + 1):
         for epoch in range(epochs):
             t = epoch * period + node
-            rows.append(
-                SnapshotRow(
-                    node_id=node,
-                    epoch=epoch,
-                    generated_at=t,
-                    received_at=t + 1.0,
-                    values=rng.uniform(0, 10, NUM_METRICS),
-                )
-            )
-            for _ in range(3):
-                arrivals.append((t + 1.0, node))
-    return Trace(
-        rows=rows,
+            node_ids.append(node)
+            epoch_ids.append(epoch)
+            generated.append(t)
+            arrival_times.extend([t + 1.0] * 3)
+            arrival_nodes.extend([node] * 3)
+    generated = np.array(generated)
+    return TraceFrame(
+        node_ids=node_ids,
+        epochs=epoch_ids,
+        generated_at=generated,
+        received_at=generated + 1.0,
+        values=np.random.default_rng(0).uniform(
+            0, 10, size=(len(node_ids), NUM_METRICS)
+        ),
         metadata={"report_period_s": period, "n_nodes": n_nodes + 1,
                   "sim_end": epochs * period},
         ground_truth=[GroundTruth("node_failure", (2,), 150.0, 250.0)],
         packets_generated=n_nodes * epochs * 3,
-        packets_received=len(arrivals),
-        arrivals=arrivals,
+        packets_received=len(arrival_times),
+        arrival_times=arrival_times,
+        arrival_nodes=arrival_nodes,
     )
 
 
-def test_rows_sorted_by_node_epoch():
-    trace = make_trace()
-    keys = [(r.node_id, r.epoch) for r in trace.rows]
-    assert keys == sorted(keys)
-
-
-def test_snapshot_row_validates_shape():
-    with pytest.raises(ValueError):
-        SnapshotRow(1, 0, 0.0, 0.0, np.zeros(7))
+def empty_frame(**kwargs):
+    return TraceFrame(node_ids=[], epochs=[], generated_at=[], received_at=[],
+                      values=np.zeros((0, NUM_METRICS)), **kwargs)
 
 
 def test_node_ids_and_rows_for():
     trace = make_trace()
-    assert trace.node_ids == [1, 2, 3]
-    assert len(trace.rows_for(2)) == 5
+    assert trace.unique_node_ids == [1, 2, 3]
+    rows = trace.node_slice(2)
+    assert rows.stop - rows.start == 5
+    assert np.all(trace.node_ids[rows] == 2)
 
 
 def test_window_filters_by_generated_time():
     trace = make_trace()
     sub = trace.window(100.0, 300.0)
-    assert all(100.0 <= r.generated_at < 300.0 for r in sub.rows)
+    assert np.all((sub.generated_at >= 100.0) & (sub.generated_at < 300.0))
     assert len(sub) == 6
+    assert np.all((sub.arrival_times >= 100.0) & (sub.arrival_times < 300.0))
+    assert len(sub.arrival_times) == 3 * 6
 
 
 def test_delivery_ratio():
@@ -75,7 +74,7 @@ def test_time_span():
 
 
 def test_time_span_empty():
-    assert Trace(rows=[]).time_span() == (0.0, 0.0)
+    assert empty_frame().time_span() == (0.0, 0.0)
 
 
 def test_ground_truth_in_window():
@@ -87,29 +86,30 @@ def test_ground_truth_in_window():
 def test_jsonl_roundtrip(tmp_path):
     trace = make_trace()
     path = tmp_path / "trace.jsonl"
-    save_trace_jsonl(trace, path)
-    loaded = load_trace_jsonl(path)
+    save_frame_jsonl(trace, path)
+    loaded = load_frame_jsonl(path)
     assert len(loaded) == len(trace)
     assert loaded.metadata["report_period_s"] == 100.0
     assert loaded.packets_generated == trace.packets_generated
     assert loaded.ground_truth[0].kind == "node_failure"
     assert loaded.ground_truth[0].node_ids == (2,)
-    assert np.allclose(loaded.rows[0].values, trace.rows[0].values, atol=1e-5)
-    assert loaded.arrivals == trace.arrivals
+    assert np.allclose(loaded.values[0], trace.values[0], atol=1e-5)
+    assert np.array_equal(loaded.arrival_times, trace.arrival_times)
+    assert np.array_equal(loaded.arrival_nodes, trace.arrival_nodes)
 
 
 def test_load_rejects_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
     with pytest.raises(ValueError):
-        load_trace_jsonl(path)
+        load_frame_jsonl(path)
 
 
 def test_load_rejects_bad_version(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"format_version": 99, "metric_names": []}\n')
     with pytest.raises(ValueError):
-        load_trace_jsonl(path)
+        load_frame_jsonl(path)
 
 
 def test_csv_export(tmp_path):
@@ -129,15 +129,16 @@ def test_prr_series_full_delivery():
 
 
 def test_prr_series_empty_trace():
-    trace = Trace(rows=[], metadata={})
-    centers, prr = prr_series(trace)
+    centers, prr = prr_series(empty_frame(metadata={}))
     assert len(centers) == 0
 
 
 def test_prr_detects_outage():
     trace = make_trace(epochs=20)
     # drop all arrivals in [500, 1000)
-    trace.arrivals = [(t, n) for (t, n) in trace.arrivals if not 500 <= t < 1000]
+    keep = (trace.arrival_times < 500) | (trace.arrival_times >= 1000)
+    trace.arrival_times = trace.arrival_times[keep]
+    trace.arrival_nodes = trace.arrival_nodes[keep]
     centers, prr = prr_series(trace, bin_seconds=100.0)
     windows = degraded_windows(centers, prr, threshold_fraction=0.8)
     assert windows

@@ -26,12 +26,11 @@ from repro.core.streaming import (
     iter_packets,
 )
 from repro.obs import MetricsRegistry
-from repro.traces.frame import as_frame
 
 
 @pytest.fixture(scope="module")
 def testbed_packets(testbed_trace):
-    return list(iter_packets(as_frame(testbed_trace)))
+    return list(iter_packets(testbed_trace))
 
 
 def _replay(tool, packets, **session_kwargs):

@@ -17,7 +17,6 @@ import pytest
 
 from repro.cli import _event_json, main
 from repro.core.pipeline import VN2
-from repro.traces.frame import as_frame
 from repro.traces.io import read_frame_header, save_frame
 
 from .packet_oracle import PacketLoopSession
@@ -35,7 +34,7 @@ def watch_env(testbed_tool, testbed_trace, tmp_path_factory):
     model = root / "model"
     testbed_tool.save(model)
     trace = root / "trace.jsonl"
-    save_frame(as_frame(testbed_trace), trace, fmt="jsonl")
+    save_frame(testbed_trace, trace, fmt="jsonl")
     return model, trace
 
 
