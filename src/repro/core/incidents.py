@@ -106,6 +106,16 @@ def observation_sort_key(obs: Observation) -> Tuple[float, int, float, int]:
     return (obs.time_to, obs.node_id, obs.time_from, obs.cause_index)
 
 
+def _sparse_weights(tool: VN2, values, retention: float) -> List[float]:
+    """One state solved and sparsified on the model's plan, as a list."""
+    check_retention(retention)
+    plan = tool.plan
+    weights, _residual = plan.solve(
+        plan.normalize(np.asarray(values, dtype=float).ravel())
+    )
+    return plan.sparsify(weights, retention)
+
+
 def observation_weights(
     tool: VN2, values: np.ndarray, retention: float = 0.9
 ) -> np.ndarray:
@@ -117,12 +127,7 @@ def observation_weights(
     bit-identical across the two paths regardless of how states are
     batched.
     """
-    check_retention(retention)
-    plan = tool.plan
-    weights, _residual = plan.solve(
-        plan.normalize(np.asarray(values, dtype=float).ravel())
-    )
-    return plan.sparsify(weights, retention)
+    return np.array(_sparse_weights(tool, values, retention))
 
 
 def observations_for_state(
@@ -147,10 +152,11 @@ def observations_for_state(
             the caller already solved it.
     """
     if weights is None:
-        weights = observation_weights(tool, values, retention=retention)
+        sparse = _sparse_weights(tool, values, retention)
+    else:
+        sparse = np.asarray(weights, dtype=float).ravel().tolist()
     return tool.plan.observations(
-        np.asarray(weights, dtype=float).ravel(),
-        int(node_id), float(time_from), float(time_to), min_strength,
+        sparse, int(node_id), float(time_from), float(time_to), min_strength
     )
 
 

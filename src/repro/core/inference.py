@@ -13,6 +13,7 @@ is what lets an exception be attributed to *several* root causes at once
 from __future__ import annotations
 
 import time
+from itertools import compress
 from typing import Optional, Tuple
 
 import numpy as np
@@ -146,14 +147,17 @@ def _pattern_factor(AtA: np.ndarray, passive: np.ndarray):
 
 def _cached_factor(
     AtA: np.ndarray,
-    pattern: np.ndarray,
+    key: bytes,
     passive: np.ndarray,
     cache: Optional[NNLSSolverCache],
 ):
-    """:func:`_pattern_factor`, through ``cache`` when one is given."""
+    """:func:`_pattern_factor`, through ``cache`` when one is given.
+
+    ``key`` is the passive-set pattern's bytes (one byte per cause, 1 in
+    the passive set), the cache key of its factor.
+    """
     if cache is None:
         return _pattern_factor(AtA, passive)
-    key = pattern.tobytes()
     entry = cache.factors.get(key)
     if entry is None:
         cache.misses += 1
@@ -165,6 +169,34 @@ def _cached_factor(
         cache.hits += 1
         cache._m_hits.inc()
     return entry
+
+
+def _solve_passive_column(A, B, AtA, AtB, passive, key, cache=None):
+    """One column's least-squares solve restricted to its passive set.
+
+    ``passive`` is the index array of the passive set, ascending, and
+    ``key`` the pattern's cache key (see :func:`_cached_factor`).
+    Returns the (r, 1) solution, zero off the passive set.  Every one-column solve
+    goes through this module-level name, so a caller can swap in a
+    reference solver for all of them at once.
+    """
+    X = np.zeros((AtA.shape[0], 1))
+    if not len(passive):
+        return X
+    kind, factor = _cached_factor(AtA, key, passive, cache)
+    if kind == "chol":
+        # cho_solve(factor, ..., check_finite=False) minus its wrapper;
+        # the fancy-indexed right-hand side is a copy LAPACK may overwrite.
+        c, lower = factor
+        solution, info = _potrs(c, AtB[passive], lower=lower, overwrite_b=True)
+        if info != 0:
+            raise ValueError(
+                f"illegal value in {-info}th argument of internal potrs"
+            )
+        X[passive] = solution
+    else:
+        X[passive] = np.linalg.lstsq(A[:, passive], B, rcond=None)[0]
+    return X
 
 
 def _solve_passive_sets(
@@ -191,31 +223,19 @@ def _solve_passive_sets(
     if k == 0 or not F.any():
         return X
     if k == 1:
-        # Streaming's per-state shape: one column, one pattern — no
-        # pattern grouping, no index grids.  Same solve, same bits.
         pattern = F[:, 0]
-        passive = np.flatnonzero(pattern)
-        kind, factor = _cached_factor(AtA, pattern, passive, cache)
-        if kind == "chol":
-            # cho_solve(factor, ..., check_finite=False) minus its wrapper;
-            # the fancy-indexed right-hand side is a copy LAPACK may overwrite.
-            c, lower = factor
-            solution, info = _potrs(c, AtB[passive], lower=lower, overwrite_b=True)
-            if info != 0:
-                raise ValueError(
-                    f"illegal value in {-info}th argument of internal potrs"
-                )
-            X[passive] = solution
-        else:
-            X[passive] = np.linalg.lstsq(A[:, passive], B, rcond=None)[0]
-        return X
+        return _solve_passive_column(
+            A, B, AtA, AtB, np.flatnonzero(pattern), pattern.tobytes(), cache
+        )
     patterns, inverse = np.unique(F.T, axis=0, return_inverse=True)
     for g in range(patterns.shape[0]):
         passive = np.flatnonzero(patterns[g])
         if passive.size == 0:
             continue
         cols = np.flatnonzero(inverse == g)
-        kind, factor = _cached_factor(AtA, patterns[g], passive, cache)
+        kind, factor = _cached_factor(
+            AtA, patterns[g].tobytes(), passive, cache
+        )
         if kind == "chol":
             solution = cho_solve(
                 factor, AtB[np.ix_(passive, cols)], check_finite=False
@@ -292,37 +312,48 @@ def _pivot_columns(A, B, AtA, AtB, F, cache, max_iter, tol):
 def _pivot_column(A, B, AtA, AtB, F, cache, max_iter, tol):
     """:func:`_pivot_columns` for exactly one column, bit for bit.
 
-    The per-state solve a streaming session makes: the same arithmetic
-    on the same (r, 1) / (m, 1) operands, with the per-column α/β/
-    exchange bookkeeping in plain Python instead of length-1 arrays.
-    ``_solve_passive_sets`` zeroes everything off the passive set, so
-    the sweep's ``X[~F] = 0.0`` has nothing to do here.
+    The per-state solve a streaming session makes.  The passive set, the
+    infeasibility test and the α/β/exchange bookkeeping run on Python
+    lists (the pattern's bytes are its factor's cache key); every
+    floating-point operation is the sweep's, on the same (r, 1) / (m, 1)
+    operands: the passive solve (:func:`_solve_passive_column`) and
+    ``AtA @ X - AtB``.  The solve zeroes everything off the passive set,
+    so the sweep's ``X[~F] = 0.0`` has nothing to do here.
     """
-    r = F.shape[0]
-    X = np.zeros((r, 1))
-    Y = -AtB
+    flags = F[:, 0].tolist()
+    causes = range(len(flags))
+
+    def solve():
+        passive = np.fromiter(compress(causes, flags), np.intp)
+        X = _solve_passive_column(A, B, AtA, AtB, passive, bytes(flags), cache)
+        return X, X[:, 0].tolist(), (AtA @ X - AtB)[:, 0].tolist()
+
     n_warm = 0
-    if F.any():
+    if True in flags:
         n_warm = 1
-        X = _solve_passive_sets(A, B, F, AtA, AtB, cache)
-        Y = AtA @ X - AtB
-    alpha, beta = 3, r + 1
+        X, x, y = solve()
+    else:
+        # Cold: X = 0 and Y = -AtB; x is read only where a flag is set.
+        X, x, y = np.zeros((len(flags), 1)), [], (-AtB)[:, 0].tolist()
+    floor = -tol
+    alpha, beta = 3, len(flags) + 1
     for _ in range(max_iter):
-        infeasible = (F & (X < -tol)) | (~F & (Y < -tol))
-        n_infeasible = int(np.count_nonzero(infeasible))
+        infeasible = [
+            j for j in causes if (x[j] if flags[j] else y[j]) < floor
+        ]
+        n_infeasible = len(infeasible)
         if n_infeasible == 0:
             break
         if n_infeasible < beta:
             beta, alpha = n_infeasible, 3
-            F ^= infeasible
         elif alpha >= 1:
             alpha -= 1
-            F ^= infeasible
         else:  # Murty's rule: flip only the largest infeasible index
-            k = int(np.flatnonzero(infeasible)[-1])
-            F[k, 0] = not F[k, 0]
-        X = _solve_passive_sets(A, B, F, AtA, AtB, cache)
-        Y = AtA @ X - AtB
+            k = infeasible[-1]
+            infeasible = [k]
+        for j in infeasible:
+            flags[j] = not flags[j]
+        X, x, y = solve()
     else:  # no convergence within max_iter
         X[:, 0], _ = nnls(A, B[:, 0])
     return X, n_warm

@@ -19,14 +19,16 @@ reports and observations are bitwise what that chain produced:
 * :meth:`~DiagnosisPlan.solve` is ``infer_weights_batch`` for one row:
   the same ``A.T @ B``, the same one-column pivoting loop
   (:func:`repro.core.inference._pivot_column`, which reaches
-  ``_solve_passive_sets`` through its module), the same clip and
+  ``_solve_passive_column`` through its module), the same clip and
   residual — only ``AtA`` is computed once instead of per call;
 * :meth:`~DiagnosisPlan.report` ranks the significant causes with a
   stable descending argsort, the order ``sorted(..., reverse=True)``
-  gives;
-* :meth:`~DiagnosisPlan.sparsify` is one row of ``sparsify_inferred``;
-* :meth:`~DiagnosisPlan.observations` selects causes with
-  ``(sparse >= min_strength) & hazard_mask``.
+  gives (built only where a caller hands the report out);
+* :meth:`~DiagnosisPlan.sparsify` is one row of ``sparsify_inferred``,
+  as a list, and :meth:`~DiagnosisPlan.observations` selects from that
+  list the causes with a hazard and ``strength >= min_strength`` — one
+  scalar pass from solved weights to observations, with no array in
+  between.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import numpy as np
 from repro.core import inference
 from repro.core.incidents import Observation
 from repro.core.pipeline import DiagnosisReport, RankedCause
-from repro.core.sparsify import _mass_mask
 from repro.obs import get_registry
 
 #: ``infer_weights_batch``'s pivoting cap and infeasibility tolerance.
@@ -61,13 +62,12 @@ class DiagnosisPlan:
         lo, span: The normalizer's offset and (floored) range.
         labels, families, hazards: Per-cause label, family and primary
             hazard (``None`` for baseline rows and rows with no hazard).
-        hazard_mask: True where a cause can become an observation.
         min_weight_fraction: The report's significance cut.
     """
 
     __slots__ = (
         "Psi", "A", "AtA", "lo", "span", "labels", "families", "hazards",
-        "hazard_mask", "min_weight_fraction",
+        "min_weight_fraction",
     )
 
     def __init__(self, tool):
@@ -84,9 +84,6 @@ class DiagnosisPlan:
             None if label.is_baseline else label.primary_hazard
             for label in self.labels
         ]
-        self.hazard_mask = np.array(
-            [hazard is not None for hazard in self.hazards], dtype=bool
-        )
         self.min_weight_fraction = tool.config.min_weight_fraction
 
     def normalize(self, values: np.ndarray) -> np.ndarray:
@@ -161,26 +158,43 @@ class DiagnosisPlan:
         return math.sqrt(normalized.dot(normalized))
 
     @staticmethod
-    def sparsify(weights: np.ndarray, retention: float) -> np.ndarray:
-        """Algorithm 2 on one weight row (``retention`` already checked)."""
-        if (weights < 0).any():
-            raise ValueError("W must be non-negative (it comes from NMF)")
-        return np.where(_mass_mask(weights, retention), weights, 0.0)
+    def sparsify(weights: np.ndarray, retention: float) -> List[float]:
+        """Algorithm 2 on one solved weight row, as a list.
+
+        The row's ``_mass_mask`` in one scalar pass: NumPy's ``argsort``
+        (it decides ties) and pairwise ``sum`` of ``|w|``, then the
+        cumulative mass left to right, as ``np.cumsum`` adds it, until
+        its fraction of the total is no longer below ``retention``
+        (``searchsorted``'s rule).  ``weights`` come from :meth:`solve`,
+        clipped at zero, and ``retention`` is checked by the caller.
+        """
+        values = weights.tolist()
+        sparse = [0.0] * len(values)
+        flat = np.abs(weights)
+        total = float(flat.sum())
+        if total <= 0:
+            return sparse
+        mass = flat.tolist()
+        cumulative = 0.0
+        for j in reversed(np.argsort(flat).tolist()):
+            cumulative += mass[j]
+            sparse[j] = values[j]
+            if not cumulative / total < retention:
+                break
+        return sparse
 
     def observations(
         self,
-        sparse: np.ndarray,
+        sparse: List[float],
         node_id: int,
         time_from: float,
         time_to: float,
         min_strength: float,
     ) -> List[Observation]:
-        """Hazard observations of one state, in cause-index order."""
-        picked = np.flatnonzero((sparse >= min_strength) & self.hazard_mask)
-        if not picked.size:
-            return []
-        hazards = self.hazards
+        """Hazard observations of one sparsified state, in cause-index
+        order: causes with a hazard and ``strength >= min_strength``."""
         return [
-            Observation(node_id, time_from, time_to, j, hazards[j], s)
-            for j, s in zip(picked.tolist(), sparse[picked].tolist())
+            Observation(node_id, time_from, time_to, j, hazard, strength)
+            for j, (hazard, strength) in enumerate(zip(self.hazards, sparse))
+            if hazard is not None and strength >= min_strength
         ]

@@ -226,8 +226,15 @@ class StreamingStateBuilder:
       delta (a large negative jump) passes through untouched, which is
       what the exception detector keys on.
 
-    Memory is bounded by the node population: one 43-metric row per node,
-    independent of trace length.
+    The cache is slot-indexed: each node seen so far owns one slot (a
+    ``node -> slot`` dict), and the slot's last epoch, arrival time and
+    43 metric values, plus the node's packet count, sit in arrays, so a
+    batch gathers every returning node's baseline and stores every
+    node's new one with one fancy index per column.  The arrays double
+    when the slots run out.  :meth:`last_arrivals` reads them back (a
+    session's node summaries come from there).  Memory is bounded by the
+    node population: one 43-metric row per node, independent of trace
+    length.
 
     :meth:`push_columns` is the one differencing pass: :meth:`push` is a
     one-row call of it and :meth:`push_frame` a frame's columns.  Any
@@ -249,17 +256,39 @@ class StreamingStateBuilder:
     ):
         self.max_epoch_gap = max_epoch_gap
         self.per_epoch_rate = per_epoch_rate
-        self._last: Dict[int, Tuple[int, float, np.ndarray]] = {}
+        self._slots: Dict[int, int] = {}
+        self._epochs = np.zeros(0, dtype=np.int64)
+        self._times = np.zeros(0, dtype=float)
+        self._values = np.zeros((0, NUM_METRICS), dtype=float)
+        self._packets = np.zeros(0, dtype=np.int64)
         self.n_packets = 0
         self.n_states = 0
 
     def __len__(self) -> int:
         """Number of nodes currently cached."""
-        return len(self._last)
+        return len(self._slots)
 
     def reset(self) -> None:
-        """Drop every cached report (e.g. on trace rollover)."""
-        self._last.clear()
+        """Drop every cached report and packet count (e.g. on trace
+        rollover)."""
+        self._slots.clear()
+        self._packets[:] = 0
+
+    def last_arrivals(
+        self,
+    ) -> Tuple[List[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every cached node's last packet, in slot order.
+
+        Returns ``(node_ids, epochs, times, values, packets)``: the node
+        ids, and per node the epoch, ``generated_at`` and (k, 43) values
+        of its last arrival and how many packets it sent since its slot
+        was made.  The arrays are views of the cache: copy before keeping.
+        """
+        k = len(self._slots)
+        return (
+            list(self._slots), self._epochs[:k], self._times[:k],
+            self._values[:k], self._packets[:k],
+        )
 
     def push(
         self,
@@ -326,56 +355,82 @@ class StreamingStateBuilder:
             order = None
             sn, se, sg, sv = node_ids, epochs, generated_at, values
 
+        # Each row's predecessor: the row before it in its node's run or,
+        # at a run's start, the node's cached last arrival, appended after
+        # the chunk's rows (one slot lookup per distinct node).
         run_start = np.ones(n, dtype=bool)
         run_start[1:] = sn[1:] != sn[:-1]
-        inner = np.flatnonzero(~run_start)
         has_prev = ~run_start
-        prev_epochs = np.zeros(n, dtype=np.int64)
-        prev_times = np.zeros(n, dtype=float)
-        prev_values = np.zeros((n, sv.shape[1]), dtype=float)
-        prev_epochs[inner] = se[inner - 1]
-        prev_times[inner] = sg[inner - 1]
-        prev_values[inner] = sv[inner - 1]
-        # One cache lookup per distinct node, one scatter per column.
+        before = np.arange(-1, n - 1)
         starts = np.flatnonzero(run_start)
-        cached = [self._last.get(node) for node in sn[starts].tolist()]
-        hits = [k for k, entry in enumerate(cached) if entry is not None]
+        nodes = sn[starts].tolist()
+        get = self._slots.get
+        slots = [get(node, -1) for node in nodes]
+        hits = [k for k, slot in enumerate(slots) if slot >= 0]
+        pe, pg, pv = se, sg, sv
         if hits:
             rows = starts[hits]
+            cached = [slots[k] for k in hits]
             has_prev[rows] = True
-            prev_epochs[rows] = [cached[k][0] for k in hits]
-            prev_times[rows] = [cached[k][1] for k in hits]
-            prev_values[rows] = [cached[k][2] for k in hits]
-
+            before[rows] = np.arange(n, n + len(hits))
+            pe = np.concatenate((se, self._epochs[cached]))
+            pg = np.concatenate((sg, self._times[cached]))
+            pv = np.concatenate((sv, self._values[cached]))
+        prev_epochs = pe[before]
         gaps = se - prev_epochs
         mask = has_prev & (gaps > 0)
         if self.max_epoch_gap is not None:
             mask &= gaps <= self.max_epoch_gap
         emit = np.flatnonzero(mask)
-        values = sv[emit] - prev_values[emit]
+        if order is not None and len(emit) > 1:
+            # Emission order is defined by packet arrival: re-interleave.
+            emit = emit[np.argsort(order[emit], kind="stable")]
+        source = before[emit]
+        values = sv[emit] - pv[source]
         if self.per_epoch_rate:
             values = values / gaps[emit][:, None]
         states = StateMatrix(
             values=values,
             node_ids=sn[emit],
-            epochs_from=prev_epochs[emit],
+            epochs_from=pe[source],
             epochs_to=se[emit],
-            times_from=prev_times[emit],
+            times_from=pg[source],
             times_to=sg[emit],
         )
-        if order is not None and len(states) > 1:
-            # Emission order is defined by packet arrival: re-interleave.
-            states = states._take(np.argsort(order[emit], kind="stable"))
-        # Cache the last arrival of every node in the chunk (row copies,
+        # Cache the last arrival of every node in the chunk: new nodes
+        # take the next free slots, then one scatter per column (copies,
         # so chunk buffers can be freed between push_frame calls).
-        run_end = np.flatnonzero(np.append(run_start[1:], True))
-        for node, epoch, time, i in zip(
-            sn[run_end].tolist(), se[run_end].tolist(), sg[run_end].tolist(),
-            run_end.tolist(),
-        ):
-            self._last[node] = (epoch, time, sv[i].copy())
+        if len(hits) < len(slots):
+            self._assign_slots(nodes, slots)
+        run_end = np.append(starts[1:] - 1, n - 1)
+        self._epochs[slots] = se[run_end]
+        self._times[slots] = sg[run_end]
+        self._values[slots] = sv[run_end]
+        self._packets[slots] += run_end - starts + 1
         self.n_states += len(states)
         return states
+
+    def _assign_slots(self, nodes: List[int], slots: List[int]) -> None:
+        """Give each node whose slot is -1 the next free one, in place,
+        growing the slot arrays (doubling) when they run out."""
+        table = self._slots
+        for k, node in enumerate(nodes):
+            if slots[k] < 0:
+                slots[k] = table[node] = len(table)
+        capacity = len(self._epochs)
+        if len(table) > capacity:
+            capacity = max(len(table), 2 * capacity)
+            self._epochs = _grown(self._epochs, capacity)
+            self._times = _grown(self._times, capacity)
+            self._values = _grown(self._values, capacity)
+            self._packets = _grown(self._packets, capacity)
+
+
+def _grown(array: np.ndarray, rows: int) -> np.ndarray:
+    """``array`` copied into a zeroed array of ``rows`` rows."""
+    grown = np.zeros((rows,) + array.shape[1:], dtype=array.dtype)
+    grown[: len(array)] = array
+    return grown
 
 
 def build_states(

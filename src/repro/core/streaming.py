@@ -8,8 +8,9 @@ of the paper's Fig 1 run as packets arrive instead of trace by trace:
 2. the state is screened with the ε exception rule against the model's
    training statistics (one O(metrics) check);
 3. exceptional states get ONE per-state NNLS solve, reused for both the
-   operator-facing :class:`~repro.core.pipeline.DiagnosisReport` and the
-   hazard :class:`~repro.core.incidents.Observation` extraction;
+   operator-facing :class:`~repro.core.pipeline.DiagnosisReport` (built
+   only where a :class:`StreamUpdate` carries it) and the hazard
+   :class:`~repro.core.incidents.Observation` extraction;
 4. observations feed the :class:`~repro.core.incidents.IncidentTracker`,
    whose open/update/close :class:`~repro.core.incidents.IncidentEvent`
    records are what ``vn2 watch`` prints.
@@ -100,6 +101,27 @@ SLICE_PACKETS = 512
 SUMMARY_METRICS = ("path_length", "path_etx", "voltage", "neighbor_num")
 _SUMMARY_KEYS = ("hop", "path_etx", "voltage", "neighbors")
 _SUMMARY_IDX = tuple(METRIC_INDEX[name] for name in SUMMARY_METRICS)
+
+
+def _blank_summary(node_id: int) -> dict:
+    """A node summary before any packet or state of the node counts."""
+    return {
+        "node_id": int(node_id),
+        "epoch": None,
+        "last_seen": None,
+        "hop": None,
+        "path_etx": None,
+        "voltage": None,
+        "neighbors": None,
+        "packets": 0,
+        "states": 0,
+        "score": None,
+        "exception": False,
+        "hazard": None,
+        "family": None,
+        "strength": None,
+    }
+
 
 def _last_per_node(node_ids: List[int]) -> Tuple[List[int], List[int], List[int]]:
     """Distinct ids, the index of each one's last row, and its row count."""
@@ -388,7 +410,8 @@ class StreamingDiagnosisSession:
             else None
         )
         self._drift: "deque[float]" = deque(maxlen=drift_window)
-        #: node_id -> small plain dict of last-packet/last-state facts —
+        #: node_id -> small plain dict of last-state facts (screen and
+        #: diagnosis; the last-packet facts live in the builder's cache) —
         #: O(nodes), no frames or arrays retained (the dashboard's feed).
         self._node_summaries: Dict[int, dict] = {}
         self._bind_model(tool)
@@ -466,24 +489,10 @@ class StreamingDiagnosisSession:
         }
 
     def _summary(self, node_id: int) -> dict:
+        """The node's summary entry, created on first use."""
         summary = self._node_summaries.get(node_id)
         if summary is None:
-            summary = self._node_summaries[node_id] = {
-                "node_id": int(node_id),
-                "epoch": None,
-                "last_seen": None,
-                "hop": None,
-                "path_etx": None,
-                "voltage": None,
-                "neighbors": None,
-                "packets": 0,
-                "states": 0,
-                "score": None,
-                "exception": False,
-                "hazard": None,
-                "family": None,
-                "strength": None,
-            }
+            summary = self._node_summaries[node_id] = _blank_summary(node_id)
         return summary
 
     def node_summaries(self) -> List[dict]:
@@ -498,11 +507,26 @@ class StreamingDiagnosisSession:
         cluster's worker pipes or serialize as JSON after every packet:
         this is what ``GET /api/topology`` renders.  Summaries survive
         :meth:`set_model` (they are positional state, like the tracker).
+
+        The last-packet facts and packet counts are read from the state
+        builder's per-node cache, which holds exactly each node's last
+        arrival; the screen and diagnosis facts are kept per batch.
         """
-        return [
-            dict(self._node_summaries[node_id])
-            for node_id in sorted(self._node_summaries)
-        ]
+        nodes, epochs, times, values, packets = self.builder.last_arrivals()
+        screened = self._node_summaries
+        summaries = []
+        for node_id, epoch, seen, metrics, count in sorted(zip(
+            nodes, epochs.tolist(), times.tolist(),
+            values[:, list(_SUMMARY_IDX)].tolist(), packets.tolist(),
+        )):
+            summary = screened.get(node_id)
+            summary = _blank_summary(node_id) if summary is None else dict(summary)
+            summary["epoch"] = epoch
+            summary["last_seen"] = seen
+            summary["packets"] = count
+            summary.update(zip(_SUMMARY_KEYS, metrics))
+            summaries.append(summary)
+        return summaries
 
     def push_packet(
         self,
@@ -534,7 +558,7 @@ class StreamingDiagnosisSession:
         if not len(batch):
             return []
         _states, _scores, _flags, diagnoses = self._push(batch)
-        return [e for _report, _obs, events in diagnoses for e in events]
+        return [e for _solution, _obs, events in diagnoses for e in events]
 
     def _push(self, batch: PacketBatch):
         """The session's one ingest step, over a non-empty batch.
@@ -542,15 +566,15 @@ class StreamingDiagnosisSession:
         Builds, summarizes, screens, diagnoses, counts and times the
         batch.  Returns ``(states, scores, flags, diagnoses)``: the
         completed :class:`~repro.core.states.StateMatrix`, each state's
-        screen score and flag, and one ``(report, observations, events)``
-        per flagged state, in state order.
+        screen score and flag, and one ``(solution, observations,
+        events)`` per flagged state, in state order (see
+        :meth:`_diagnose`).
         """
         n = len(batch)
         t0 = time.perf_counter() if self._obs_on else 0.0
         states = self.builder.push_columns(
             batch.node_ids, batch.epochs, batch.generated_at, batch.values
         )
-        self._summarize_packets(batch)
         scores = []
         flags = np.zeros(0, dtype=bool)
         diagnoses = []
@@ -577,37 +601,38 @@ class StreamingDiagnosisSession:
         return states, scores, flags, diagnoses
 
     def _updates(self, batch: PacketBatch) -> List[StreamUpdate]:
-        """:meth:`_push`, as one :class:`StreamUpdate` per completed state."""
-        states, scores, flags, diagnoses = self._push(batch)
-        diagnosed = iter(diagnoses)
-        return [
-            StreamUpdate(states.streamed(i), float(scores[i]), flagged,
-                         *(next(diagnosed) if flagged else (None, [], [])))
-            for i, flagged in enumerate(flags.tolist())
-        ]
+        """:meth:`_push`, as one :class:`StreamUpdate` per completed state.
 
-    def _summarize_packets(self, batch: PacketBatch) -> None:
-        """Node summaries after a batch: each node's last packet wins."""
-        nodes, last, counts = _last_per_node(batch.node_ids.tolist())
-        metrics = batch.values[last][:, list(_SUMMARY_IDX)].tolist()
-        for node_id, count, epoch, seen, row in zip(
-            nodes, counts, batch.epochs[last].tolist(),
-            batch.generated_at[last].tolist(), metrics,
-        ):
-            summary = self._summary(node_id)
-            summary["epoch"] = epoch
-            summary["last_seen"] = seen
-            summary["packets"] += count
-            summary.update(zip(_SUMMARY_KEYS, row))
+        The only step that builds :class:`DiagnosisReport` objects: the
+        sink's :meth:`push_batch` discards them.
+        """
+        states, scores, flags, diagnoses = self._push(batch)
+        report = self._plan.report
+        diagnosed = iter(diagnoses)
+        updates = []
+        for i, flagged in enumerate(flags.tolist()):
+            if flagged:
+                solution, observations, events = next(diagnosed)
+                diagnosis = (report(*solution), observations, events)
+            else:
+                diagnosis = (None, [], [])
+            updates.append(
+                StreamUpdate(states.streamed(i), float(scores[i]), flagged,
+                             *diagnosis)
+            )
+        return updates
 
     def _summarize_states(self, node_ids: np.ndarray, scores, flags) -> None:
         """Node summaries after a batch: each node's last state wins."""
         nodes, last, counts = _last_per_node(node_ids.tolist())
-        for node_id, i, count in zip(nodes, last, counts):
-            summary = self._node_summaries[node_id]
+        scores = [scores[i] for i in last]
+        flags = flags[last].tolist()
+        summaries = self._node_summaries
+        for node_id, count, score, flag in zip(nodes, counts, scores, flags):
+            summary = summaries.get(node_id) or self._summary(node_id)
             summary["states"] += count
-            summary["score"] = float(scores[i])
-            summary["exception"] = bool(flags[i])
+            summary["score"] = float(score)
+            summary["exception"] = flag
 
     def _fallback_score(self, values: np.ndarray) -> Optional[float]:
         # Stat-less legacy model: match the batch aggregator's fallback
@@ -618,9 +643,17 @@ class StreamingDiagnosisSession:
 
     def _diagnose(
         self, state: StreamedState
-    ) -> Tuple[DiagnosisReport, List[Observation], List[IncidentEvent]]:
-        """Solve, report and cluster one flagged state (counters are
-        :meth:`_push`'s to bump)."""
+    ) -> Tuple[
+        Tuple[np.ndarray, float, float], List[Observation], List[IncidentEvent]
+    ]:
+        """Solve and cluster one flagged state (counters are
+        :meth:`_push`'s to bump).
+
+        Returns ``(solution, observations, events)``, where ``solution``
+        is the ``(weights, residual, state_norm)`` that
+        :meth:`~repro.core.plan.DiagnosisPlan.report` takes; only
+        :meth:`_updates` builds the report.
+        """
         if self._reservoir is not None:
             self._reservoir.append(state)
         # ONE per-state solve on the model's plan, reused for the report
@@ -637,8 +670,9 @@ class StreamingDiagnosisSession:
         )
         if warm is not None:
             warm.put(node_id, state.epoch_to, weights)
-        report = plan.report(weights, residual, plan.state_norm(normalized))
-        self._drift.append(report.relative_residual)
+        state_norm = plan.state_norm(normalized)
+        # The report's relative residual.
+        self._drift.append(residual / state_norm if state_norm > 0 else 0.0)
         observations = plan.observations(
             plan.sparsify(weights, self.retention),
             node_id, state.time_from, state.time_to, self.min_strength,
@@ -648,11 +682,15 @@ class StreamingDiagnosisSession:
             top = max(observations, key=lambda o: o.strength)
             summary["hazard"] = top.hazard
             summary["strength"] = float(top.strength)
-        if report.ranked:
-            summary["family"] = plan.families[report.ranked[0].index]
+        # The report's primary cause: the first largest weight, when it
+        # is positive and passes the significance cut.
+        primary = int(weights.argmax())
+        strongest = weights[primary]
+        if strongest > 0 and strongest >= plan.min_weight_fraction * strongest:
+            summary["family"] = plan.families[primary]
         add = self.tracker.add
         events = [e for obs in observations for e in add(obs)]
-        return report, observations, events
+        return (weights, residual, state_norm), observations, events
 
     @property
     def drift_score(self) -> float:

@@ -16,7 +16,7 @@ streaming sessions' metrics.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 

@@ -110,7 +110,16 @@ def observations_for_state(
 
 
 class OracleSession(StreamingDiagnosisSession):
-    """A streaming session whose flagged states take the per-call chain."""
+    """A streaming session whose flagged states take the per-call chain.
+
+    ``reports`` keeps the chain's own report of every diagnosed state, in
+    order; ``_diagnose`` returns the session's ``(solution, observations,
+    events)``, like the session it stands in for.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reports: List[DiagnosisReport] = []
 
     def _diagnose(self, state):
         if self._reservoir is not None:
@@ -130,10 +139,12 @@ class OracleSession(StreamingDiagnosisSession):
         )
         if self._warm is not None:
             self._warm.put(state.node_id, state.epoch_to, weights[0])
-        report = build_report(
-            self.tool, weights[0], float(residuals[0]),
+        solution = (
+            weights[0], float(residuals[0]),
             float(np.linalg.norm(normalized[0])),
         )
+        report = build_report(self.tool, *solution)
+        self.reports.append(report)
         self._drift.append(report.relative_residual)
         sparse = sparsify_inferred(weights, retention=self.retention)[0]
         observations = observations_for_state(
@@ -154,4 +165,4 @@ class OracleSession(StreamingDiagnosisSession):
         if report.primary is not None:
             summary["family"] = report.primary.label.family
         events = [e for obs in observations for e in self.tracker.add(obs)]
-        return report, observations, events
+        return solution, observations, events

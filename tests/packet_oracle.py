@@ -35,7 +35,11 @@ from repro.core.streaming import (
 
 class PacketLoopBuilder(StreamingStateBuilder):
     """Per-packet differencing: one cache lookup and one subtraction per
-    packet."""
+    packet, against a ``node -> (epoch, time, values)`` dict."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._last = {}
 
     def push(
         self,
@@ -98,6 +102,13 @@ class PacketLoopSession(StreamingDiagnosisSession):
             per_epoch_rate=self.builder.per_epoch_rate,
         )
 
+    def node_summaries(self):
+        """The summaries this loop kept packet by packet, in node-id order."""
+        return [
+            dict(self._node_summaries[node_id])
+            for node_id in sorted(self._node_summaries)
+        ]
+
     def push_packet(
         self,
         node_id: int,
@@ -148,7 +159,8 @@ class PacketLoopSession(StreamingDiagnosisSession):
             )
         self.n_exceptions += 1
         self._m_exceptions.inc()
-        report, observations, events = self._diagnose(state)
+        solution, observations, events = self._diagnose(state)
+        report = self._plan.report(*solution)
         if observations:
             self._m_observations.inc(len(observations))
         if events:

@@ -21,7 +21,8 @@ import pytest
 
 from repro.core.incidents import observation_weights, observations_for_state
 from repro.core.pipeline import VN2, VN2Config
-from repro.core.states import build_states
+from repro.core.plan import DiagnosisPlan
+from repro.core.states import StreamedState, build_states
 from repro.core.streaming import (
     PacketBatch,
     StreamingDiagnosisSession,
@@ -48,6 +49,19 @@ def _report_key(report):
         _bits(report.relative_residual),
         [(c.index, _bits(c.strength), id(c.label)) for c in report.ranked],
     )
+
+
+def _solution_key(solution):
+    weights, residual, state_norm = solution
+    return (weights.tobytes(), _bits(residual), _bits(state_norm))
+
+
+def _report_of(session, solution, k):
+    """Diagnosis ``k``'s report: the oracle chain's own, or the plan's
+    (what ``_updates`` builds from the solution)."""
+    if isinstance(session, oracle.OracleSession):
+        return session.reports[k]
+    return session._plan.report(*solution)
 
 
 def _obs_key(obs):
@@ -100,10 +114,12 @@ def _replay(cls, tool, frame, seed, rotate_to=None, **kwargs):
             drift.append([_bits(x) for x in session._drift])
             session.set_model(rotate_to)
         _s, _sc, _f, batch_diagnoses = session._push(batch)
-        for report, observations, batch_events in batch_diagnoses:
-            diagnoses.append(
-                (_report_key(report), [_obs_key(o) for o in observations])
-            )
+        for solution, observations, batch_events in batch_diagnoses:
+            report = _report_of(session, solution, len(diagnoses))
+            diagnoses.append((
+                _solution_key(solution), _report_key(report),
+                [_obs_key(o) for o in observations],
+            ))
             events.extend(_event_key(e) for e in batch_events)
     events.extend(_event_key(e) for e in session.finish())
     drift.append([_bits(x) for x in session._drift])
@@ -165,13 +181,45 @@ def test_diagnose_matches_oracle_and_cold_stream(testbed_tool, frame):
     states, _sc, flags, diagnoses = session._push(_whole_batch(frame))
     flagged = np.flatnonzero(flags)
     assert flagged.size > 100
-    for i, (report, _obs, _events) in zip(flagged.tolist(), diagnoses):
+    for i, (solution, _obs, _events) in zip(flagged.tolist(), diagnoses):
+        report = session._plan.report(*solution)
         values = states.values[i]
         direct = testbed_tool.diagnose(values)
         assert _report_key(direct) == _report_key(report)
         assert _report_key(direct) == _report_key(
             oracle.diagnose(testbed_tool, values)
         )
+
+
+@pytest.mark.parametrize("warm_start", [True, False])
+def test_update_reports_match_oracle(testbed_tool, frame, warm_start):
+    """``_updates`` (``process``, ``diagnose_stream``, ``push_packet``)
+    still hands out the chain's reports, next to the same events."""
+    session = _session(StreamingDiagnosisSession, testbed_tool,
+                       warm_start=warm_start)
+    reference = _session(oracle.OracleSession, testbed_tool,
+                         warm_start=warm_start)
+    got, want = (
+        [(_report_key(u.report), [_obs_key(o) for o in u.observations],
+          [_event_key(e) for e in u.events])
+         for u in s.process(frame) if u.is_exception]
+        for s in (session, reference)
+    )
+    assert len(got) > 1000
+    assert got == want
+    assert [key for key, _obs, _events in got] == [
+        _report_key(r) for r in reference.reports
+    ]
+    one_row = _session(StreamingDiagnosisSession, testbed_tool,
+                       warm_start=warm_start)
+    order = _arrival_order(frame)
+    reports = []
+    for i in order[:3000].tolist():
+        update = one_row.push_packet(frame.node_ids[i], frame.epochs[i],
+                                     frame.generated_at[i], frame.values[i])
+        if update is not None and update.is_exception:
+            reports.append(_report_key(update.report))
+    assert reports and reports == [key for key, _o, _e in got[:len(reports)]]
 
 
 def _whole_batch(frame):
@@ -225,3 +273,103 @@ def test_session_checks_retention_and_min_strength_once(testbed_tool):
         StreamingDiagnosisSession(testbed_tool, min_strength=float("nan"))
     with pytest.raises(ValueError, match="retention"):
         observation_weights(testbed_tool, np.zeros(43), retention=0.0)
+
+
+def _weight_rows(r, rng):
+    """Solved-weight rows that stress Algorithm 2's cut: ties, zeros,
+    signed zeros, subnormals and wide ranges."""
+    yield np.zeros(r)
+    yield np.full(r, -0.0)
+    yield np.full(r, 0.25)  # all tied
+    yield np.full(r, 5e-324)  # all subnormal
+    tied = np.zeros(r)
+    tied[::3] = 0.5
+    yield tied
+    sub = np.zeros(r)
+    sub[:5] = [5e-324, 1e-310, 2e-315, 3e-320, 1e-308]
+    yield sub
+    one = np.zeros(r)
+    one[r // 2] = 3.0
+    yield one
+    for _ in range(200):
+        row = rng.random(r) * (rng.random(r) < 0.6)
+        row[rng.random(r) < 0.2] = -0.0
+        if rng.random() < 0.3:  # duplicated values: ties inside the cut
+            row[rng.integers(0, r, 3)] = row.max()
+        if rng.random() < 0.2:
+            row *= 10.0 ** rng.integers(-320, 5)
+        yield row
+
+
+def test_scalar_sparsify_and_observations_match_oracle(testbed_tool):
+    """The list-based sparsify -> observations pass against
+    ``sparsify_inferred`` and the oracle's label walk, bitwise."""
+    plan = testbed_tool.plan
+    r = plan.Psi.shape[0]
+    rng = np.random.default_rng(17)
+    checked = 0
+    for weights in _weight_rows(r, rng):
+        for retention in (1e-9, 0.5, 0.9, 1.0):
+            sparse = plan.sparsify(weights, retention)
+            want = oracle.sparsify_inferred(weights, retention=retention)[0]
+            assert np.array(sparse).tobytes() == want.tobytes()
+            for min_strength in (0.2, 1e-3, 0.0, -1.0):
+                got = plan.observations(sparse, 7, 10.0, 20.0, min_strength)
+                expected = oracle.observations_for_state(
+                    testbed_tool, None, 7, 10.0, 20.0,
+                    min_strength=min_strength, weights=want,
+                )
+                assert [_obs_key(o) for o in got] == [
+                    _obs_key(o) for o in expected
+                ]
+                checked += bool(got)
+    assert checked > 100
+
+
+class _CraftedPlan(DiagnosisPlan):
+    """The model's plan, solving to queued weight rows and residuals."""
+
+    __slots__ = ("queue",)
+
+    def solve(self, normalized, previous=None, cache=None, metrics=None):
+        return self.queue.pop(0)
+
+
+@pytest.mark.parametrize("min_weight_fraction", [0.1, 1.0, 1.5])
+def test_sink_family_and_drift_match_the_report(testbed_tool,
+                                                min_weight_fraction):
+    """Without a report, ``_diagnose`` sets the node's family and the
+    drift sample exactly as the report's ``ranked[0]`` and relative
+    residual would: ties, zero rows and the significance cut."""
+    tool = copy.deepcopy(testbed_tool)
+    tool.config.min_weight_fraction = min_weight_fraction
+    tool._plan = None
+    session = _session(StreamingDiagnosisSession, tool, warm_start=False)
+    plan = _CraftedPlan(tool)
+    plan.queue = []
+    session._plan = plan
+    r = plan.Psi.shape[0]
+    rng = np.random.default_rng(23)
+    rows = [np.zeros(r), np.full(r, 0.3)]
+    for _ in range(60):
+        row = rng.random(r) * (rng.random(r) < 0.5)
+        row[rng.integers(0, r, 2)] = row.max()  # a tie for the lead
+        rows.append(row)
+    zero = tool.normalizer_.lo - 1.0  # normalizes to all zeros
+    for k, weights in enumerate(rows):
+        values = zero if k % 4 == 0 else rng.normal(size=zero.shape)
+        residual = float(rng.random())
+        plan.queue.append((weights, residual))
+        summary = session._summary(5)
+        summary["family"] = None
+        solution, _obs, _events = session._diagnose(
+            StreamedState(values, 5, k, k + 1, 0.0, 1.0)
+        )
+        state_norm = plan.state_norm(plan.normalize(values))
+        assert _solution_key(solution) == _solution_key(
+            (weights, residual, state_norm)
+        )
+        report = oracle.build_report(tool, weights, residual, state_norm)
+        want = None if report.primary is None else report.primary.label.family
+        assert summary["family"] == want
+        assert _bits(session._drift[-1]) == _bits(report.relative_residual)

@@ -63,7 +63,10 @@ def _branch_counts():
     ):
         source, first = inspect.getsourcelines(func)
         # Only the Murty branch assigns ``k``.
-        lines = {first + i for i, line in enumerate(source) if "k = int(" in line}
+        lines = {
+            first + i for i, line in enumerate(source)
+            if line.strip().startswith("k = ")
+        }
         assert len(lines) == 1
         watched[func.__code__] = (key, lines)
 
@@ -360,3 +363,52 @@ def test_session_counts_solves_in_its_own_registry(
     assert (warm_starts > 0) == warm
     # No second count in the process-default registry.
     assert "repro_core_nnls_states_total" not in default.collect()
+
+
+def test_every_one_column_solve_goes_through_solve_passive_column(
+    testbed_tool, testbed_trace
+):
+    """Swapping ``inference._solve_passive_column`` reaches every
+    per-state solve (a streamed diagnosis, warm or cold, ``VN2.diagnose``
+    and a one-row ``infer_weights_batch``), and none of them reaches the
+    sweep's ``_solve_passive_sets``: the lifecycle bench's seed-path
+    baseline swaps this one name."""
+    states = [
+        u.state.values
+        for u in StreamingDiagnosisSession(
+            testbed_tool, registry=MetricsRegistry(enabled=False),
+            threshold_ratio=0.001,
+        ).process(testbed_trace)
+        if u.is_exception
+    ][:40]
+    calls = []
+    column, sets = inference._solve_passive_column, inference._solve_passive_sets
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return column(*args, **kwargs)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("one-column solve reached _solve_passive_sets")
+
+    inference._solve_passive_column = counting
+    inference._solve_passive_sets = unreachable
+    try:
+        for warm in (True, False):
+            session = StreamingDiagnosisSession(
+                testbed_tool, registry=MetricsRegistry(enabled=False),
+                threshold_ratio=0.001, warm_start=warm,
+            )
+            before = len(calls)
+            for packet in list(iter_packets(testbed_trace))[:3000]:
+                session.push_packet(*packet)
+            assert session.n_exceptions > 0
+            assert len(calls) - before >= session.n_exceptions
+        before = len(calls)
+        for values in states:
+            testbed_tool.diagnose(values)
+            infer_weights_batch(testbed_tool.nmf_.Psi, values[None, :] * 0.01)
+        assert len(calls) - before >= len(states)
+    finally:
+        inference._solve_passive_column = column
+        inference._solve_passive_sets = sets

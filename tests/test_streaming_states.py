@@ -181,3 +181,79 @@ def test_empty_frame_yields_empty_matrix():
     states = StreamingStateBuilder().push_frame(frame)
     assert len(states) == 0
     assert states.values.shape == (0, NUM_METRICS)
+
+
+def _state_bytes(states):
+    return [
+        column.tobytes()
+        for column in (
+            states.values, states.node_ids, states.epochs_from,
+            states.epochs_to, states.times_from, states.times_to,
+        )
+    ]
+
+
+def _arrivals(rng, n_packets, n_nodes):
+    """Interleaved, unsorted node ids (some huge), repeated and late
+    epochs, duplicate packets, signed zeros and wide-range values."""
+    ids = rng.choice(
+        np.array([0, 1, 7, 2**40 + 3, 2**63 - 1] + list(range(100, 100 + n_nodes)),
+                 dtype=np.int64),
+        size=n_packets,
+    )
+    epochs = np.zeros(n_packets, dtype=np.int64)
+    clock = {}
+    for i, node in enumerate(ids.tolist()):
+        step = int(rng.choice([1, 1, 1, 2, 5, 0, -1]))  # 0: duplicate, -1: late
+        clock[node] = clock.get(node, 0) + step
+        epochs[i] = clock[node]
+    times = np.cumsum(rng.uniform(0.0, 3.0, n_packets))
+    values = rng.normal(scale=10.0 ** rng.integers(-3, 6), size=(n_packets, NUM_METRICS))
+    values[rng.random(values.shape) < 0.05] = -0.0
+    return ids, epochs, times, values
+
+
+@pytest.mark.parametrize("batch", [1, 2, 16, 512])
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"max_epoch_gap": 2}, {"per_epoch_rate": True},
+     {"max_epoch_gap": 3, "per_epoch_rate": True}],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_slot_cache_matches_packet_oracle_bitwise(batch, kwargs, seed):
+    """The slot-array cache against the per-packet dict cache, in
+    batches of every size, across slot-array growth and a reset."""
+    rng = np.random.default_rng([seed, batch])
+    ids, epochs, times, values = _arrivals(rng, 1500, n_nodes=60)
+    builder = StreamingStateBuilder(**kwargs)
+    oracle = PacketLoopBuilder(**kwargs)
+    got, want = [], []
+    for start in range(0, len(ids), batch):
+        if start == 1024:  # a batch boundary at every size
+            builder.reset()
+            oracle._last.clear()
+        rows = slice(start, start + batch)
+        got.extend(_state_bytes(builder.push_columns(
+            ids[rows], epochs[rows], times[rows], values[rows]
+        )))
+        streamed = [
+            oracle.push(ids[i], epochs[i], times[i], values[i])
+            for i in range(start, min(start + batch, len(ids)))
+        ]
+        want.extend(_state_bytes(stack_states(
+            [s for s in streamed if s is not None]
+        )))
+    assert got == want
+    assert builder.n_states == oracle.n_states > 500
+    assert builder.n_packets == oracle.n_packets == len(ids)
+    assert len(builder) == len(oracle._last)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"max_epoch_gap": 1}, {"per_epoch_rate": True}])
+def test_full_frame_build_states_matches_packet_oracle_bitwise(kwargs):
+    rng = np.random.default_rng(9)
+    rows = _random_rows(rng, n_nodes=300, n_epochs=20, drop=0.3)
+    frame = _make_frame(rows)
+    assert _state_bytes(build_states(frame, **kwargs)) == _state_bytes(
+        replay_frame_rows(frame, **kwargs)
+    )
