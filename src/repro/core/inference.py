@@ -120,6 +120,17 @@ class NNLSMetrics:
         self.seconds.observe(seconds)
 
 
+def default_nnls_metrics() -> NNLSMetrics:
+    """The :class:`NNLSMetrics` of the process-default registry.
+
+    What a solve records into when its caller passes none.  Bound once
+    per registry object (:meth:`~repro.obs.MetricsRegistry.bound`), so it
+    follows :func:`~repro.obs.set_registry` without four registry
+    lookups per solve.
+    """
+    return get_registry().bound(NNLSMetrics)
+
+
 def _pattern_factor(AtA: np.ndarray, passive: np.ndarray):
     """Factor one passive set's normal-equations Gram block.
 
@@ -454,7 +465,7 @@ def infer_weights_batch(
     X = np.maximum(X, 0.0)
     residuals = np.linalg.norm(B - A @ X, axis=0)
     if metrics is None:
-        metrics = NNLSMetrics(get_registry())
+        metrics = default_nnls_metrics()
     metrics.record(n, n_warm, time.perf_counter() - _t0)
     return X.T, residuals
 

@@ -42,7 +42,6 @@ import numpy as np
 from repro.core import inference
 from repro.core.incidents import Observation
 from repro.core.pipeline import DiagnosisReport, RankedCause
-from repro.obs import get_registry
 
 #: ``infer_weights_batch``'s pivoting cap and infeasibility tolerance.
 _MAX_ITER = 100
@@ -121,7 +120,7 @@ class DiagnosisPlan:
         diff = B - A @ X
         residual = math.sqrt(np.add.reduce(diff * diff, axis=0)[0])
         if metrics is None:
-            metrics = inference.NNLSMetrics(get_registry())
+            metrics = inference.default_nnls_metrics()
         metrics.record(1, n_warm, time.perf_counter() - t0)
         return X.T[0], residual
 

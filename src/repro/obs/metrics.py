@@ -323,8 +323,22 @@ class MetricsRegistry:
         self._metrics: Dict[Tuple[str, LabelItems], object] = {}
         self._kinds: Dict[str, str] = {}
         self._helps: Dict[str, str] = {}
+        self._bound: Dict[Callable, object] = {}
 
     # -- creation ------------------------------------------------------
+
+    def bound(self, factory: Callable[["MetricsRegistry"], object]):
+        """``factory(self)``, made on the first call and reused after.
+
+        For a group of handles a hot path records through (such as
+        :class:`~repro.core.inference.NNLSMetrics`) when its caller
+        passes none: one dict lookup instead of a get-or-create per
+        series per call.
+        """
+        handles = self._bound.get(factory)
+        if handles is None:
+            handles = self._bound[factory] = factory(self)
+        return handles
 
     def _get_or_create(self, cls, name: str, help: str, labels, **kwargs):
         if not _NAME_RE.match(name):
@@ -425,6 +439,7 @@ class MetricsRegistry:
             self._metrics.clear()
             self._kinds.clear()
             self._helps.clear()
+            self._bound.clear()
 
     # -- cross-process merge -------------------------------------------
 

@@ -19,10 +19,10 @@ semantics:
 Packets can be ``(node_id, epoch, generated_at, values)`` tuples (what
 :func:`repro.core.streaming.iter_packets` yields) or pre-built row
 objects (:func:`repro.traces.io.row_obj`).
-Each batch is sent as one columnar ``ingest`` (ids, epochs and times as
-JSON lists, the metrics as base64 float64; see
-:func:`repro.service.protocol.ingest`), built once per batch and
-re-stamped with a fresh ``seq`` on each retry.
+Each batch is sent as one attachment ``ingest`` (a JSON header line,
+then the ids, epochs, times and metrics as raw little-endian int64 and
+float64 columns; see :func:`repro.service.protocol.ingest`), built once
+per batch and re-stamped with a fresh ``seq`` on each retry.
 """
 
 from __future__ import annotations

@@ -7,10 +7,11 @@ Client → server:
 
 * ``ingest`` — a batch of report packets, in one of two shapes:
 
-  - columnar (what the SDK sends): ``{"v", "type", "seq", "deployment",
-    "node_ids": [int...], "epochs": [int...], "generated_at": [number...],
-    "values_f64": str}``, where ``values_f64`` is the base64 of the
-    n×43 catalog metrics as little-endian IEEE-754 float64, row-major;
+  - attachment (what the SDK sends): a header line ``{"v", "type",
+    "seq", "deployment", "n_packets"}`` followed by exactly
+    ``n_packets * PACKET_BYTES`` raw bytes — the int64 ``node_ids``,
+    the int64 ``epochs``, the float64 ``generated_at`` and the n×43
+    float64 catalog metrics (row-major), all little-endian;
   - rows: ``{"v", "type", "seq", "deployment", "packets": [...]}`` where
     each packet is the canonical snapshot-row object of the JSONL trace
     codec (:func:`repro.traces.io.row_obj`): ``node_id``, ``epoch``,
@@ -19,6 +20,11 @@ Client → server:
 
   Both shapes validate by the same rules into the same batch.  A batch
   is acked atomically: either every packet is queued or none is.
+  Framing: a header with a valid ``n_packets`` always has its
+  attachment read, whatever else is wrong with it; an ``n_packets``
+  that is not an integer in ``[1, MAX_BATCH]`` is answered and then the
+  connection closes (:class:`FramingError`), as the next line cannot be
+  found.
 * ``subscribe`` — ``{"v", "type", "seq", "deployment"}``; the server
   answers ``subscribed`` and then streams ``event`` messages for that
   deployment over the same connection (several subscriptions can share a
@@ -43,7 +49,7 @@ Server → client:
 * ``error`` — a rejected message: ``code`` (machine-readable, see
   :data:`ERROR_CODES`), ``message`` (human-readable), and the offending
   ``seq`` when the client supplied one.  Errors are per-message; the
-  connection stays usable.
+  connection stays usable, except after a :class:`FramingError`.
 
 Validation is strict and total: unknown types, missing fields, wrong
 value-vector width, non-finite floats and malformed deployment names are
@@ -52,7 +58,6 @@ all rejected with ``error`` before anything touches a queue.
 
 from __future__ import annotations
 
-import base64
 import bisect
 import json
 import math
@@ -76,11 +81,20 @@ MAX_BATCH = 4096
 #: Largest accepted ``node_id``/``epoch``: ids are stored as int64.
 MAX_ID = 2**63 - 1
 
-#: The list fields of a columnar ``ingest``, one entry per packet.
-ID_COLUMNS = ("node_ids", "epochs", "generated_at")
+#: Bytes of attachment per packet: int64 ``node_id``, int64 ``epoch``,
+#: float64 ``generated_at`` and 43 float64 metrics (8 + 8 + 8 + 344).
+PACKET_BYTES = 8 * (3 + NUM_METRICS)
 
-#: ``values_f64`` element type: little-endian IEEE-754 float64.
-VALUES_DTYPE = np.dtype("<f8")
+#: The header field that announces an attachment.
+N_PACKETS = "n_packets"
+
+#: Where an :func:`ingest_columns` message holds its attachment bytes;
+#: :func:`encode` writes them after the header line, never inside it.
+ATTACHMENT = "attachment"
+
+#: Fields of the removed base64 column shape; a header carrying any of
+#: them is refused with a message that names the attachment.
+REMOVED_COLUMNS = ("node_ids", "epochs", "generated_at", "values_f64")
 
 #: Machine-readable ``error.code`` values the server can send.
 ERROR_CODES = (
@@ -102,9 +116,19 @@ class ProtocolError(ValueError):
         self.seq = seq
 
 
+class FramingError(ProtocolError):
+    """A header whose attachment length cannot be known: the reader
+    answers it and closes the connection."""
+
+
 def encode(message: dict) -> bytes:
-    """Frame one message for the wire (compact JSON + newline)."""
-    return (json.dumps(message, separators=(",", ":")) + "\n").encode("utf-8")
+    """Frame one message for the wire: compact JSON and a newline, then
+    the attachment of an :func:`ingest_columns` message."""
+    attachment = message.get(ATTACHMENT)
+    if attachment is None:
+        return (json.dumps(message, separators=(",", ":")) + "\n").encode("utf-8")
+    header = {key: value for key, value in message.items() if key != ATTACHMENT}
+    return (json.dumps(header, separators=(",", ":")) + "\n").encode("utf-8") + attachment
 
 
 def decode(line) -> dict:
@@ -118,6 +142,28 @@ def decode(line) -> dict:
     if not isinstance(obj, dict):
         raise ProtocolError("bad_json", "message must be a JSON object")
     return obj
+
+
+def attachment_size(header: dict) -> int:
+    """Bytes of attachment that follow ``header``'s line: 0 without
+    ``n_packets``, else ``n_packets * PACKET_BYTES``.
+
+    Raises :class:`FramingError` (``bad_request``) when ``n_packets`` is
+    not an integer in ``[1, MAX_BATCH]``: the reader cannot tell where
+    the next line starts, so it answers and closes the connection.
+    """
+    if N_PACKETS not in header:
+        return 0
+    n = header[N_PACKETS]
+    if type(n) is not int or not 1 <= n <= MAX_BATCH:
+        seq = header.get("seq")
+        raise FramingError(
+            "bad_request",
+            f"n_packets must be an integer in [1, {MAX_BATCH}], got {n!r}; "
+            "the connection closes, as the next line cannot be found",
+            seq if type(seq) is int else None,
+        )
+    return n * PACKET_BYTES
 
 
 def _check_envelope(msg: dict) -> Tuple[str, Optional[int]]:
@@ -204,13 +250,12 @@ def _check_scalars(node_id, epoch, generated_at, seq: Optional[int]) -> None:
 
 
 def _check_row(node_id, epoch, generated_at, values: np.ndarray,
-               seq: Optional[int]) -> Tuple[int, int, float, np.ndarray]:
-    """:func:`parse_packet` on a packet whose ``values`` are already a
-    (43,) float64 row (a row of a columnar ``ingest``)."""
+               seq: Optional[int]) -> None:
+    """:func:`parse_packet`'s checks on a packet whose ``values`` are
+    already a (43,) float64 row (a row of an attachment)."""
     _check_scalars(node_id, epoch, generated_at, seq)
     if not np.all(np.isfinite(values)):
         raise _bad_values(seq)
-    return int(node_id), int(epoch), float(generated_at), values
 
 
 def _bad_values(seq: Optional[int]) -> ProtocolError:
@@ -231,37 +276,16 @@ _NUMBER = {int, float}
 _LIST = {list}
 
 
-def _batch_of(node_ids: list, epochs: list, times: list,
-              values: np.ndarray) -> Optional[PacketBatch]:
-    """The checked batch, or None if any packet fails any check.
-
-    The checks of :func:`parse_packet`, run column by column with exact
-    JSON types over an (n, 43) float64 ``values``.  A None sends the
-    caller to the per-packet path, which names the first bad packet.
-    """
-    if (set(map(type, node_ids)) != _INT or set(map(type, epochs)) != _INT
-            or not set(map(type, times)) <= _NUMBER):
-        return None
-    try:
-        batch = PacketBatch(
-            np.array(node_ids, dtype=np.int64),
-            np.array(epochs, dtype=np.int64),
-            np.array(times, dtype=float),
-            values,
-        )
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if (min(batch.node_ids.min(), batch.epochs.min()) < 0
-            or not np.isfinite(batch.values).all()
-            or not np.isfinite(batch.generated_at).all()):
-        return None
-    return batch
-
-
 def _parse_columns(packets: list) -> Optional[PacketBatch]:
     """A row-shaped batch as columns, or None if any packet fails any
-    check (see :func:`_batch_of`); the ``values`` width is checked by the
-    shape of the stacked matrix."""
+    check.
+
+    The checks of :func:`parse_packet`, run column by column with exact
+    JSON types; the ``values`` width is checked by the shape of the
+    stacked matrix.  A None sends the sink to the per-packet path,
+    which names the first bad packet, and :func:`ingest` to the row
+    shape.
+    """
     try:
         node_ids = [p["node_id"] for p in packets]
         epochs = [p["epoch"] for p in packets]
@@ -269,114 +293,111 @@ def _parse_columns(packets: list) -> Optional[PacketBatch]:
         values = [p["values"] for p in packets]
     except (KeyError, TypeError):  # a missing key, or not an object
         return None
-    if set(map(type, values)) != _LIST:
+    if (set(map(type, values)) != _LIST or set(map(type, node_ids)) != _INT
+            or set(map(type, epochs)) != _INT
+            or not set(map(type, times)) <= _NUMBER):
         return None
     try:
-        matrix = np.array(values, dtype=float)
+        batch = PacketBatch(
+            np.array(node_ids, dtype=np.int64),
+            np.array(epochs, dtype=np.int64),
+            np.array(times, dtype=float),
+            np.array(values, dtype=float),
+        )
     except (TypeError, ValueError, OverflowError):
         return None
-    if matrix.shape != (len(packets), NUM_METRICS):
+    if (batch.values.shape != (len(packets), NUM_METRICS)
+            or min(batch.node_ids.min(), batch.epochs.min()) < 0
+            or not np.isfinite(batch.values).all()
+            or not np.isfinite(batch.generated_at).all()):
         return None
-    return _batch_of(node_ids, epochs, times, matrix)
-
-
-def _check_size(n: int, seq: Optional[int]) -> None:
-    if n > MAX_BATCH:
-        raise ProtocolError(
-            "bad_request", f"batch of {n} exceeds MAX_BATCH={MAX_BATCH}", seq
-        )
+    return batch
 
 
 def _parse_rows(msg: dict, seq: Optional[int]) -> PacketBatch:
     packets = msg["packets"]
     if not isinstance(packets, list) or not packets:
         raise ProtocolError("bad_request", "packets must be a non-empty list", seq)
-    _check_size(len(packets), seq)
+    if len(packets) > MAX_BATCH:
+        raise ProtocolError(
+            "bad_request",
+            f"batch of {len(packets)} exceeds MAX_BATCH={MAX_BATCH}",
+            seq,
+        )
     batch = _parse_columns(packets)
     if batch is None:
         batch = PacketBatch.from_packets([parse_packet(p, seq) for p in packets])
     return batch
 
 
-def _parse_column_shape(msg: dict, seq: Optional[int]) -> PacketBatch:
-    columns = [msg.get(name) for name in ID_COLUMNS]
-    encoded = msg.get("values_f64")
-    if not all(isinstance(c, list) for c in columns) or not isinstance(encoded, str):
-        raise ProtocolError(
-            "bad_request",
-            "a columnar ingest needs node_ids, epochs and generated_at lists "
-            "and a values_f64 string",
-            seq,
-        )
-    lengths = list(map(len, columns))
-    n = lengths[0]
-    if not n or lengths.count(n) != len(lengths):
-        raise ProtocolError(
-            "bad_request",
-            "node_ids, epochs and generated_at must be non-empty and of "
-            f"equal length, got {'/'.join(map(str, lengths))}",
-            seq,
-        )
-    _check_size(n, seq)
-    expected = n * NUM_METRICS * VALUES_DTYPE.itemsize
-    length = 4 * -(-expected // 3)  # padded base64 of ``expected`` bytes
-    if len(encoded) != length:  # checked before anything is decoded
-        raise ProtocolError(
-            "bad_request",
-            f"values_f64 must be the {length} base64 characters of "
-            f"{expected} bytes ({n} packets x {NUM_METRICS} float64), got "
-            f"{len(encoded)} characters",
-            seq,
-        )
-    try:
-        # validate=True: a character outside the alphabet is an error,
-        # not skipped.
-        raw = base64.b64decode(encoded, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII string
-        raise ProtocolError(
-            "bad_request", f"values_f64 is not strict base64: {exc}", seq
-        ) from exc
-    if len(raw) != expected:  # padding standing in for payload
-        raise ProtocolError(
-            "bad_request",
-            f"values_f64 must be the {length} base64 characters of "
-            f"{expected} bytes ({n} packets x {NUM_METRICS} float64), got "
-            f"{len(encoded)} characters holding {len(raw)} bytes",
-            seq,
-        )
-    values = np.frombuffer(raw, dtype=VALUES_DTYPE).astype(float)
-    values = values.reshape(n, NUM_METRICS)
-    batch = _batch_of(*columns, values)
-    if batch is None:
-        batch = PacketBatch.from_packets([
-            _check_row(*row, seq) for row in zip(*columns, values)
-        ])
+def _parse_attachment(n: int, attachment: bytes,
+                      seq: Optional[int]) -> PacketBatch:
+    """The batch packed in an attachment of ``n`` packets.
+
+    Each column is copied out of the buffer into a native array the
+    batch owns.  If any packet fails a check, the packets are checked
+    one by one, so the error names the first bad one as the row shape
+    would.
+    """
+    ints = np.frombuffer(attachment, "<i8", 2 * n)
+    floats = np.frombuffer(attachment, "<f8", (1 + NUM_METRICS) * n, 16 * n)
+    batch = PacketBatch(
+        ints[:n].astype(np.int64),
+        ints[n:].astype(np.int64),
+        floats[:n].astype(float),
+        floats[n:].astype(float).reshape(n, NUM_METRICS),
+    )
+    if (min(batch.node_ids.min(), batch.epochs.min()) < 0
+            or not np.isfinite(batch.generated_at).all()
+            or not np.isfinite(batch.values).all()):
+        for row in zip(batch.node_ids.tolist(), batch.epochs.tolist(),
+                       batch.generated_at.tolist(), batch.values):
+            _check_row(*row, seq)
     return batch
 
 
-def parse_ingest(msg: dict) -> Tuple[Optional[int], str, PacketBatch]:
+def parse_ingest(
+    msg: dict, attachment: Optional[bytes] = None
+) -> Tuple[Optional[int], str, PacketBatch]:
     """Validate a full ``ingest`` message → (seq, deployment, batch).
 
-    Takes either shape: ``packets`` rows, or the ``node_ids``/``epochs``/
-    ``generated_at`` columns with ``values_f64``.  Accepts and rejects
-    exactly what :func:`parse_packet` does on every packet, with the
-    same error; a defect in the message's structure (a shape mixed with
-    the other or missing, empty or unequal columns, too many packets,
-    bad base64, a wrong byte count) is ``bad_request``.
+    Takes either shape: ``packets`` rows, or an ``n_packets`` header
+    with the ``attachment`` that followed its line.  Accepts and
+    rejects exactly what :func:`parse_packet` does on every packet, with
+    the same error; a defect in the message's structure (a shape mixed
+    with the other or missing, an empty ``packets``, too many packets,
+    an attachment of the wrong length, a field of the removed base64
+    column shape) is ``bad_request``.
     """
     _mtype, seq = _check_envelope(msg)
     deployment = check_deployment(msg.get("deployment"), seq)
-    rows = "packets" in msg
-    if rows == any(name in msg for name in (*ID_COLUMNS, "values_f64")):
+    if any(name in msg for name in REMOVED_COLUMNS):
         raise ProtocolError(
             "bad_request",
-            "an ingest carries either packets or the node_ids/epochs/"
-            "generated_at/values_f64 columns",
+            "the node_ids/epochs/generated_at/values_f64 ingest shape was "
+            "removed: send n_packets with a binary attachment, or packets "
+            "rows",
+            seq,
+        )
+    rows = "packets" in msg
+    if rows == (N_PACKETS in msg):
+        raise ProtocolError(
+            "bad_request",
+            "an ingest carries either packets or n_packets with its attachment",
             seq,
         )
     if rows:
         return seq, deployment, _parse_rows(msg, seq)
-    return seq, deployment, _parse_column_shape(msg, seq)
+    size = attachment_size(msg)
+    if attachment is None or len(attachment) != size:
+        got = "none" if attachment is None else f"{len(attachment)} bytes"
+        raise ProtocolError(
+            "bad_request",
+            f"n_packets={msg[N_PACKETS]} needs a {size}-byte attachment, "
+            f"got {got}",
+            seq,
+        )
+    return seq, deployment, _parse_attachment(msg[N_PACKETS], attachment, seq)
 
 
 # --------------------------------------------------------------------------
@@ -394,46 +415,56 @@ def hello(server: str = "repro.service") -> dict:
 
 
 def ingest(deployment: str, packets: List[dict], seq: Optional[int] = None) -> dict:
-    """(Client side.)  Build a columnar ingest message from row objects.
+    """(Client side.)  Build an attachment ingest message from row objects.
 
-    Rows that cannot form the columns (a missing field, ``values`` that
-    are not 43 numbers) are sent in row shape instead
+    The rows are checked as the sink checks the row shape: a batch the
+    sink would refuse (empty, more than ``MAX_BATCH`` packets, or any
+    packet :func:`parse_packet` rejects) is sent in row shape instead
     (:func:`ingest_rows`), so the sink names the bad packet as it always
-    has.
+    has.  Packing ids through ``np.asarray(..., "<i8")`` unchecked would
+    turn ``True`` into 1 and ``2.0`` into 2, and the sink could then not
+    name such a packet.
     """
-    try:
-        return ingest_columns(
-            deployment,
-            [p["node_id"] for p in packets],
-            [p["epoch"] for p in packets],
-            [p["generated_at"] for p in packets],
-            [p["values"] for p in packets],
-            seq,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError):
+    batch = _parse_columns(packets) if 1 <= len(packets) <= MAX_BATCH else None
+    if batch is None:
         return ingest_rows(deployment, packets, seq)
+    return ingest_columns(deployment, batch.node_ids, batch.epochs,
+                          batch.generated_at, batch.values, seq)
 
 
 def ingest_columns(
-    deployment: str, node_ids: list, epochs: list, generated_at: list,
-    values, seq: Optional[int] = None,
+    deployment: str, node_ids, epochs, generated_at, values,
+    seq: Optional[int] = None,
 ) -> dict:
-    """(Client side.)  Build a columnar ingest message.
+    """(Client side.)  Build an attachment ingest message.
 
-    ``node_ids``, ``epochs`` and ``generated_at`` are JSON-ready lists,
-    one entry per packet; ``values`` is anything that stacks into an
-    (n, 43) float matrix (``ValueError`` otherwise).  The sink validates
-    the columns.
+    The header fields plus the packed columns under ``"attachment"``,
+    which :func:`encode` writes after the header line.  The columns are
+    packed as given (``np.asarray`` to little-endian int64 and float64),
+    so pass checked ones, as :func:`ingest` does; the sink checks that
+    ids are non-negative and times and values finite.  Raises
+    ``ValueError`` unless 1 <= n <= ``MAX_BATCH``, the columns have equal
+    lengths and ``values`` stacks into an (n, 43) matrix.
     """
-    matrix = np.asarray(values, dtype=VALUES_DTYPE)
-    if matrix.shape != (len(node_ids), NUM_METRICS):
+    n = len(node_ids)
+    if not 1 <= n <= MAX_BATCH or len(epochs) != n or len(generated_at) != n:
         raise ValueError(
-            f"values must stack to ({len(node_ids)}, {NUM_METRICS}), "
-            f"got {matrix.shape}"
+            f"need 1 to {MAX_BATCH} packets in equal columns, got "
+            f"{n}/{len(epochs)}/{len(generated_at)}"
         )
+    matrix = np.asarray(values, dtype="<f8")
+    if matrix.shape != (n, NUM_METRICS):
+        raise ValueError(
+            f"values must stack to ({n}, {NUM_METRICS}), got {matrix.shape}"
+        )
+    attachment = b"".join((
+        np.asarray(node_ids, dtype="<i8").tobytes(),
+        np.asarray(epochs, dtype="<i8").tobytes(),
+        np.asarray(generated_at, dtype="<f8").tobytes(),
+        matrix.tobytes(),
+    ))
     msg = {"v": PROTOCOL_VERSION, "type": "ingest", "deployment": deployment,
-           "node_ids": node_ids, "epochs": epochs, "generated_at": generated_at,
-           "values_f64": base64.b64encode(matrix.tobytes()).decode("ascii")}
+           N_PACKETS: n, ATTACHMENT: attachment}
     if seq is not None:
         msg["seq"] = seq
     return msg

@@ -51,7 +51,9 @@ from repro.service import protocol
 from repro.service.backends import ShardRouter
 from repro.service.metrics import sum_shard_totals
 
-#: Bytes allowed per NDJSON line (a MAX_BATCH ingest of 43 floats fits).
+#: Bytes allowed per NDJSON line: a row-shaped MAX_BATCH ingest of 43
+#: decimal floats per packet fits.  An attachment is read by its byte
+#: count (``protocol.attachment_size``), not by this limit.
 _LINE_LIMIT = 1 << 24
 
 _STOP = object()  # outbox sentinel: flush and close the connection
@@ -254,6 +256,15 @@ class DiagnosisService:
         #: (Shard workers keep their own registries; the merged scrape is
         #: rendered by the router via :func:`repro.obs.merge_dumps`.)
         self.registry = MetricsRegistry(enabled=True)
+        #: One counter per error code; each error reply adds one.
+        self._protocol_errors = {
+            code: self.registry.counter(
+                "repro_service_protocol_errors_total",
+                "Error replies sent on the ingest/subscribe port, by code",
+                {"code": code},
+            )
+            for code in protocol.ERROR_CODES
+        }
         from repro.service.models import ModelManager
 
         #: Routes deployments to shard workers; see
@@ -382,22 +393,48 @@ class DiagnosisService:
                 if not line.strip():
                     continue
                 try:
-                    self._dispatch(connection, line)
+                    message = protocol.decode(line)
+                    size = protocol.attachment_size(message)
+                except protocol.FramingError as exc:
+                    self._reply_error(connection, exc)
+                    break  # the next line cannot be found
                 except protocol.ProtocolError as exc:
-                    connection.send(
-                        protocol.error(exc.code, str(exc), exc.seq)
-                    )
+                    # bad_json: no n_packets to read, so an attachment
+                    # meant for this line is read as lines
+                    self._reply_error(connection, exc)
+                    continue
+                attachment = None
+                if size:
+                    try:
+                        attachment = await reader.readexactly(size)
+                    except (asyncio.IncompleteReadError, ConnectionError):
+                        break  # EOF inside the attachment: nothing enqueued
+                try:
+                    self._dispatch(connection, message, attachment)
+                except protocol.ProtocolError as exc:
+                    self._reply_error(connection, exc)
         finally:
             for deployment in connection.subscriptions:
                 self.backend.unsubscribe(deployment, connection.outbox)
             await connection.flush_and_close()
             self._connections.discard(connection)
 
-    def _dispatch(self, connection: _Connection, line: bytes) -> None:
-        message = protocol.decode(line)
+    def _reply_error(self, connection: _Connection,
+                     exc: protocol.ProtocolError) -> None:
+        self._protocol_errors[exc.code].inc()
+        connection.send(protocol.error(exc.code, str(exc), exc.seq))
+
+    def _dispatch(self, connection: _Connection, message: dict,
+                  attachment: Optional[bytes]) -> None:
+        """Answer one message; ``attachment`` is the bytes that followed
+        an ``n_packets`` header (already read), or None."""
         mtype, seq = protocol._check_envelope(message)
+        if attachment is not None and mtype != "ingest":
+            raise protocol.ProtocolError(
+                "bad_request", "only an ingest carries n_packets", seq
+            )
         if mtype == "ingest":
-            seq, deployment, batch = protocol.parse_ingest(message)
+            seq, deployment, batch = protocol.parse_ingest(message, attachment)
             accepted, queued = self.backend.try_enqueue(
                 deployment, batch, time.monotonic()
             )

@@ -1,19 +1,28 @@
-"""The columnar ``ingest`` shape: the same rules, the same batch, the same
-served bytes as the row shape.
+"""The attachment ``ingest`` shape: the same rules, the same batch, the
+same served bytes as the row shape.
 
-A columnar ingest carries ``node_ids``/``epochs``/``generated_at`` as
-JSON lists and the metrics as ``values_f64``, the base64 of n×43
-little-endian float64.  The contract checked here:
+An attachment ingest is a header line carrying ``n_packets`` followed by
+``n_packets * PACKET_BYTES`` raw little-endian bytes: the int64
+``node_ids``, the int64 ``epochs``, the float64 ``generated_at`` and the
+n×43 float64 metrics, row-major.  The contract checked here:
 
-* every defect a column can carry is accepted or rejected exactly as the
-  row shape (and :func:`protocol.parse_packet`, packet by packet) does —
-  same code, seq and message — and accepted columns are bitwise equal;
+* every defect an attachment can carry is accepted or rejected exactly
+  as the row shape (and :func:`protocol.parse_packet`, packet by packet)
+  does — same code, seq and message — and accepted columns are bitwise
+  equal;
+* ``protocol.ingest`` sends a batch the sink would refuse as rows (a
+  hand-packed attachment still reaches the sink's own checks), so the
+  answer is the row shape's, also for defects only JSON can carry
+  (``bool``/``float``/string ids, ids of 2**63 and more, huge-int times);
 * the float64 bytes round-trip exactly, at the float edges and at batch
-  sizes 1 and ``MAX_BATCH``;
-* structural defects of the columnar message answer ``bad_request``;
+  sizes 1 and ``MAX_BATCH``, in the documented layout;
+* structural defects of an attachment ingest answer ``bad_request``;
 * the testbed trace served once in each shape gives the same event
   bytes, ``/metrics`` counters and ``/incidents``, at ``--workers 0``
   and ``--workers 2``.
+
+The framing rules of the served reader are in
+``tests/test_ingest_framing.py``.
 """
 
 from __future__ import annotations
@@ -48,21 +57,48 @@ def _packets(rng, n):
     ]
 
 
-def _columnar(packets, seq=1, deployment="city-a"):
-    """The columnar message of ``packets``, fields carried as they are."""
-    return protocol.ingest_columns(
-        deployment,
-        [p["node_id"] for p in packets],
-        [p["epoch"] for p in packets],
-        [p["generated_at"] for p in packets],
-        [p["values"] for p in packets],
-        seq,
-    )
+def through_wire(msg):
+    """``msg`` through its wire bytes, split as the sink's reader splits
+    them: ``(header, attachment or None)``.  NaN/Infinity in a header or
+    rows arrive as JSON literals."""
+    line, _, rest = protocol.encode(msg).partition(b"\n")
+    header = protocol.decode(line)
+    size = protocol.attachment_size(header)
+    assert len(rest) == size
+    return header, (rest if size else None)
 
 
-def _wire(msg):
-    """Through the wire text, so NaN/Infinity arrive as JSON literals."""
-    return protocol.decode(protocol.encode(msg))
+def pack(packets, seq=1, deployment="city-a"):
+    """A hand-packed attachment ingest of ``packets``, with none of the
+    SDK's client-side routing: any int64 id and any float time go in,
+    so the sink's own checks are what answer."""
+    n = len(packets)
+    attachment = b"".join((
+        np.array([p["node_id"] for p in packets], dtype="<i8").tobytes(),
+        np.array([p["epoch"] for p in packets], dtype="<i8").tobytes(),
+        np.array([p["generated_at"] for p in packets], dtype="<f8").tobytes(),
+        np.array([p["values"] for p in packets], dtype="<f8").tobytes(),
+    ))
+    header = {"v": 1, "type": "ingest", "seq": seq, "deployment": deployment,
+              "n_packets": n}
+    return header, attachment
+
+
+def _packable(packets):
+    """Whether :func:`pack` carries ``packets`` as the rows hold them:
+    every id an ``int`` an int64 holds, every time an ``int`` or
+    ``float`` a float64 holds, and values that stack to (n, 43)."""
+    try:
+        if not all(type(p[key]) is int and -2**63 <= p[key] < 2**63
+                   for p in packets for key in ("node_id", "epoch")):
+            return False
+        if not all(type(p["generated_at"]) in (int, float) for p in packets):
+            return False
+        np.array([p["generated_at"] for p in packets], dtype="<f8")
+        values = np.array([p["values"] for p in packets], dtype="<f8")
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return False
+    return values.shape == (len(packets), NUM_METRICS)
 
 
 def _outcome(parse):
@@ -80,7 +116,7 @@ def _assert_bitwise_equal(got: PacketBatch, want: PacketBatch):
 
 
 # --------------------------------------------------------------------------
-# seeded property test: columnar == rows == per packet
+# seeded property test: attachment == rows == per packet
 # --------------------------------------------------------------------------
 
 _ID_DEFECTS = [True, False, -1, -7, 2**63, 2**63 + 2, 10**30, 3.0, "7", None,
@@ -106,42 +142,57 @@ def _plant(packet, rng):
 
 
 def test_columnar_parse_matches_row_parse():
-    """Over seeded batches with planted column defects, the columnar shape
-    is accepted or rejected exactly as the row shape and ``parse_packet``
-    are — same code, same seq, same message — and accepted columns are
-    bitwise equal."""
+    """Over seeded batches with planted column defects, the SDK's message
+    (an attachment, or rows for a batch the sink refuses) and a
+    hand-packed attachment are accepted or rejected exactly as the row
+    shape and ``parse_packet`` are — same code, same seq, same message —
+    and accepted columns are bitwise equal."""
     rng = np.random.default_rng(18)
-    outcomes = {"accepted": 0, "rejected": 0}
+    outcomes = {"accepted": 0, "rejected": 0, "packed rejected": 0,
+                "routed to rows": 0}
     for case in range(500):
         n = int(rng.integers(1, 40))
         packets = _packets(rng, n)
         for _ in range(int(rng.integers(0, 3))):
             _plant(packets[int(rng.integers(n))], rng)
-        rows = _wire(protocol.ingest_rows("city-a", packets, seq=case))
-        columns = _wire(_columnar(packets, seq=case))
-        got, got_error = _outcome(lambda: protocol.parse_ingest(columns))
-        want, want_error = _outcome(lambda: protocol.parse_ingest(rows))
+        rows = through_wire(protocol.ingest_rows("city-a", packets, seq=case))
+        sdk = protocol.ingest("city-a", packets, seq=case)
+        outcomes["routed to rows"] += "packets" in sdk
+        got, got_error = _outcome(
+            lambda: protocol.parse_ingest(*through_wire(sdk))
+        )
+        want, want_error = _outcome(lambda: protocol.parse_ingest(*rows))
         _, packet_error = _outcome(lambda: [
-            protocol.parse_packet(p, case) for p in rows["packets"]
+            protocol.parse_packet(p, case) for p in rows[0]["packets"]
         ])
         assert got_error == want_error == packet_error, (case, packets)
+        if _packable(packets):
+            packed, packed_error = _outcome(
+                lambda: protocol.parse_ingest(*pack(packets, seq=case))
+            )
+            assert packed_error == want_error, (case, packets)
+            outcomes["packed rejected"] += packed_error is not None
+            if packed_error is None:
+                _assert_bitwise_equal(packed[2], want[2])
         if got_error is None:
             outcomes["accepted"] += 1
             assert got[:2] == want[:2] == (case, "city-a")
             _assert_bitwise_equal(got[2], want[2])
         else:
             outcomes["rejected"] += 1
-    assert min(outcomes.values()) > 100, outcomes
+    assert min(outcomes["accepted"], outcomes["rejected"]) > 100, outcomes
+    assert outcomes["routed to rows"] > 100, outcomes
+    assert outcomes["packed rejected"] > 50, outcomes
 
 
 def test_sdk_builder_sends_columns_that_parse_like_rows():
     rng = np.random.default_rng(7)
     packets = _packets(rng, 33)
     msg = protocol.ingest("city-a", packets, seq=4)
-    assert "packets" not in msg and set(protocol.ID_COLUMNS) < set(msg)
-    _, _, got = protocol.parse_ingest(_wire(msg))
+    assert "packets" not in msg and msg["n_packets"] == 33
+    _, _, got = protocol.parse_ingest(*through_wire(msg))
     _, _, want = protocol.parse_ingest(
-        _wire(protocol.ingest_rows("city-a", packets, seq=4))
+        *through_wire(protocol.ingest_rows("city-a", packets, seq=4))
     )
     _assert_bitwise_equal(got, want)
 
@@ -160,16 +211,29 @@ def test_sdk_builder_sends_rows_that_cannot_form_columns(broken):
     msg = protocol.ingest("city-a", packets, seq=8)
     assert msg == protocol.ingest_rows("city-a", packets, seq=8)
     with pytest.raises(protocol.ProtocolError) as exc:
-        protocol.parse_ingest(_wire(msg))
+        protocol.parse_ingest(*through_wire(msg))
     assert (exc.value.code, exc.value.seq) == ("bad_packet", 8)
 
 
+def test_sdk_sends_a_bool_time_as_rows_and_the_sink_takes_it_as_today():
+    """``parse_packet`` takes ``true`` as time 1.0; an attachment would
+    carry the same number, but only rows keep the JSON type, so the SDK
+    leaves the answer to the row shape's rules."""
+    packets = _packets(np.random.default_rng(4), 3)
+    packets[1]["generated_at"] = True
+    msg = protocol.ingest("city-a", packets, seq=6)
+    assert msg == protocol.ingest_rows("city-a", packets, seq=6)
+    _, _, batch = protocol.parse_ingest(*through_wire(msg))
+    assert batch.generated_at[1] == 1.0
+
+
 # --------------------------------------------------------------------------
-# exactness
+# exactness and layout
 # --------------------------------------------------------------------------
 
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+               2.225073858507201e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1 / 3]
 
 
 @pytest.mark.parametrize("n", [1, 2, protocol.MAX_BATCH])
@@ -183,21 +247,60 @@ def test_float64_bytes_round_trip_exactly(n):
          "values": values[i].tolist()}
         for i in range(n)
     ]
-    _, _, got = protocol.parse_ingest(_wire(protocol.ingest("c", packets)))
-    _, _, want = protocol.parse_ingest(_wire(protocol.ingest_rows("c", packets)))
+    msg = protocol.ingest("c", packets)
+    assert msg["n_packets"] == n
+    _, _, got = protocol.parse_ingest(*through_wire(msg))
+    _, _, want = protocol.parse_ingest(
+        *through_wire(protocol.ingest_rows("c", packets))
+    )
     _assert_bitwise_equal(got, want)
     assert got.values.tobytes() == values.tobytes()  # -0.0 keeps its sign
     assert got.values.flags.writeable and got.values.flags.c_contiguous
     assert len(got) == n
 
 
+def test_negative_zero_and_subnormals_keep_their_bits():
+    """-0.0 and subnormal times and values arrive as the same IEEE bits."""
+    edges = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310]
+    packets = [{"node_id": i, "epoch": i, "generated_at": t,
+                "values": [t] * NUM_METRICS} for i, t in enumerate(edges)]
+    _, _, batch = protocol.parse_ingest(
+        *through_wire(protocol.ingest("c", packets))
+    )
+    want = np.array(edges, dtype=float)
+    assert batch.generated_at.tobytes() == want.tobytes()
+    assert batch.values.tobytes() == np.repeat(want, NUM_METRICS).tobytes()
+    assert math.copysign(1.0, batch.values[0, 0]) == -1.0
+
+
 def test_values_f64_is_little_endian_row_major():
     values = np.arange(NUM_METRICS * 2, dtype=float).reshape(2, NUM_METRICS)
     msg = protocol.ingest_columns("c", [1, 2], [3, 4], [5.0, 6.0], values)
-    raw = base64.b64decode(msg["values_f64"])
+    raw = msg["attachment"][48:]  # after 2 node_ids, 2 epochs, 2 times
     assert raw == values.astype("<f8").tobytes(order="C")
     assert raw[8:16] == bytes.fromhex("000000000000f03f")  # 1.0, little-endian
     assert np.frombuffer(raw, "<f8")[NUM_METRICS] == values[1, 0]  # row-major
+
+
+def test_attachment_layout_offsets_and_byte_order():
+    """The documented layout: node_ids, epochs, generated_at, then the
+    values row-major, every element little-endian, 368 bytes a packet."""
+    values = np.arange(NUM_METRICS * 2, dtype=float).reshape(2, NUM_METRICS)
+    msg = protocol.ingest_columns("c", [1, 2], [3, 4], [5.0, 6.0], values, 9)
+    assert protocol.PACKET_BYTES == 368
+    line, _, raw = protocol.encode(msg).partition(b"\n")
+    assert json.loads(line) == {"v": 1, "type": "ingest", "deployment": "c",
+                                "n_packets": 2, "seq": 9}
+    assert len(raw) == 2 * 368
+    assert raw[0:8] == (1).to_bytes(8, "little")  # node_ids
+    assert raw[8:16] == (2).to_bytes(8, "little")
+    assert raw[16:24] == (3).to_bytes(8, "little")  # epochs
+    assert raw[24:32] == (4).to_bytes(8, "little")
+    assert raw[32:40] == bytes.fromhex("0000000000001440")  # 5.0, generated_at
+    assert raw[40:48] == bytes.fromhex("0000000000001840")  # 6.0
+    assert raw[48:] == values.astype("<f8").tobytes(order="C")
+    assert raw[56:64] == bytes.fromhex("000000000000f03f")  # 1.0, little-endian
+    assert np.frombuffer(raw, "<f8", offset=48)[NUM_METRICS] == values[1, 0]
 
 
 # --------------------------------------------------------------------------
@@ -206,29 +309,47 @@ def test_values_f64_is_little_endian_row_major():
 
 
 def _good(n=3):
-    return _columnar(_packets(np.random.default_rng(11), n), seq=5)
+    return pack(_packets(np.random.default_rng(11), n), seq=5)
 
 
-def _values_b64(values):
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+def _legacy(n=3):
+    """A message of the removed base64 column shape, as the earlier SDK
+    built it (``values_f64`` is the base64 of the n×43 float64 metrics)."""
+    packets = _packets(np.random.default_rng(11), n)
+    values = np.array([p["values"] for p in packets], dtype="<f8")
+    header = {"v": 1, "type": "ingest", "seq": 5, "deployment": "city-a",
+              "node_ids": [p["node_id"] for p in packets],
+              "epochs": [p["epoch"] for p in packets],
+              "generated_at": [p["generated_at"] for p in packets],
+              "values_f64": base64.b64encode(values.tobytes()).decode()}
+    return header, None
 
 
-def _set(**fields):
-    def mutate(msg):
-        msg.update(fields)
+def _header(**fields):
+    def mutate(header, attachment):
+        header.update(fields)
+        return header, attachment
     return mutate
 
 
 def _drop(*names):
-    def mutate(msg):
+    def mutate(header, attachment):
         for name in names:
-            del msg[name]
+            del header[name]
+        return header, attachment
+    return mutate
+
+
+def _bytes(transform):
+    def mutate(header, attachment):
+        return header, transform(attachment)
     return mutate
 
 
 def _column(name, transform):
-    def mutate(msg):
-        msg[name] = transform(msg[name])
+    def mutate(header, attachment):
+        header[name] = transform(header[name])
+        return header, attachment
     return mutate
 
 
@@ -236,16 +357,44 @@ def _b64(transform):
     return _column("values_f64", transform)
 
 
-BAD_REQUESTS = {
-    "both shapes": _set(packets=[]),
-    "neither shape": _drop(*protocol.ID_COLUMNS, "values_f64"),
+#: Structural defects of an attachment ingest: case -> mutation of
+#: ``_good()``'s header and attachment.
+BAD_ATTACHMENTS = {
+    "both shapes": _header(packets=[]),
+    "neither shape": _drop("n_packets"),
+    "no attachment": _bytes(lambda b: None),
+    # An attachment whose length is not n_packets x 368 (a served reader
+    # never hands one over; see test_ingest_framing.py for the wire).
+    "attachment one byte short": _bytes(lambda b: b[:-1]),
+    "attachment one float short": _bytes(lambda b: b[:-8]),
+    "attachment one packet short": _bytes(lambda b: b[:-protocol.PACKET_BYTES]),
+    "attachment one float extra": _bytes(lambda b: b + bytes(8)),
+    "attachment not whole floats": _bytes(lambda b: b[:-3]),
+    "empty attachment": _bytes(lambda b: b""),
+    # n_packets that frame nothing.
+    "n_packets 0": _header(n_packets=0),
+    "n_packets -1": _header(n_packets=-1),
+    "n_packets true": _header(n_packets=True),
+    "n_packets 3.0": _header(n_packets=3.0),
+    "n_packets string": _header(n_packets="3"),
+    "n_packets null": _header(n_packets=None),
+    "n_packets over MAX_BATCH": _header(n_packets=protocol.MAX_BATCH + 1),
+    # A field of the removed shape on an attachment header.
+    "values_f64 beside n_packets": _header(values_f64="AAAA"),
+    "node_ids beside n_packets": _header(node_ids=[0, 1, 2]),
+}
+
+#: Every defect the removed base64 column shape was refused for: such a
+#: message, defect or not, now answers the bad_request that names the
+#: attachment.  Case -> mutation of ``_legacy()``'s message.
+BAD_LEGACY = {
     "values_f64 missing": _drop("values_f64"),
     "node_ids missing": _drop("node_ids"),
-    "column not a list": _set(epochs={"0": 1}),
-    "values_f64 not a string": _set(values_f64=[0.5] * NUM_METRICS),
+    "column not a list": _header(epochs={"0": 1}),
+    "values_f64 not a string": _header(values_f64=[0.5] * NUM_METRICS),
     "unequal columns": _column("generated_at", lambda c: c[:-1]),
-    "empty columns": _set(node_ids=[], epochs=[], generated_at=[],
-                          values_f64=""),
+    "empty columns": _header(node_ids=[], epochs=[], generated_at=[],
+                             values_f64=""),
     "non-alphabet base64 (url-safe)": _b64(lambda s: s.replace(s[4], "-", 1)),
     "non-alphabet base64 (newline)": _b64(lambda s: s[:8] + "\n" + s[8:]),
     "non-alphabet base64 (space)": _b64(lambda s: " " + s),
@@ -265,65 +414,123 @@ BAD_REQUESTS = {
         lambda s: base64.b64encode(base64.b64decode(s)[:-1]).decode()
     ),
     "extra padding": _b64(lambda s: s + "=="),
+    "well-formed": _b64(lambda s: s),
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_REQUESTS))
+@pytest.mark.parametrize("case", sorted({**BAD_ATTACHMENTS, **BAD_LEGACY}))
 def test_structural_defects_are_bad_request(case):
-    msg = _good()
-    assert len(msg["node_ids"]) * NUM_METRICS * 8 % 3 == 0  # no padding
-    BAD_REQUESTS[case](msg)
+    if case in BAD_LEGACY:
+        header, attachment = BAD_LEGACY[case](*_legacy())
+    else:
+        header, attachment = BAD_ATTACHMENTS[case](*_good())
     with pytest.raises(protocol.ProtocolError) as exc:
-        protocol.parse_ingest(_wire(msg))
+        protocol.parse_ingest(header, attachment)
     assert (exc.value.code, exc.value.seq) == ("bad_request", 5), str(exc.value)
+    if case in BAD_LEGACY:
+        assert "n_packets with a binary attachment" in str(exc.value)
+
+
+def test_wrong_length_base64_is_rejected_before_decoding(monkeypatch):
+    """Nothing decodes base64 any more: a ``values_f64`` of any length is
+    refused from the header's fields alone.  The attachment's length is
+    likewise checked against ``n_packets`` before a column is read."""
+    assert not hasattr(protocol, "base64")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read the columns of a wrong-length attachment")
+
+    for transform in (lambda s: s[:-4], lambda s: s + "AAAA"):
+        header, _ = _b64(transform)(*_legacy())
+        with pytest.raises(protocol.ProtocolError) as exc:
+            protocol.parse_ingest(header)
+        assert (exc.value.code, exc.value.seq) == ("bad_request", 5)
+    for transform in (lambda b: b[:-4], lambda b: b + bytes(4)):
+        header, attachment = _good()
+        monkeypatch.setattr(np, "frombuffer", refuse)
+        with pytest.raises(protocol.ProtocolError) as exc:
+            protocol.parse_ingest(header, transform(attachment))
+        monkeypatch.undo()
+        assert (exc.value.code, exc.value.seq) == ("bad_request", 5)
+        assert "368-byte attachment" not in str(exc.value)
+        assert f"{3 * protocol.PACKET_BYTES}-byte attachment" in str(exc.value)
+
+
+def test_removed_base64_shape_names_its_replacement():
+    with pytest.raises(protocol.ProtocolError) as exc:
+        protocol.parse_ingest({
+            "v": 1, "type": "ingest", "seq": 3, "deployment": "c",
+            "node_ids": [1], "epochs": [1], "generated_at": [0.0],
+            "values_f64": "AAAA",
+        })
+    assert (exc.value.code, exc.value.seq) == ("bad_request", 3)
+    assert "n_packets" in str(exc.value) and "attachment" in str(exc.value)
+
+
+@pytest.mark.parametrize("n_packets", [0, -1, True, 3.0, "3", None, [3],
+                                       protocol.MAX_BATCH + 1])
+def test_bad_n_packets_is_a_framing_error(n_packets):
+    """No attachment length can be read from it: the reader must close."""
+    header = {"v": 1, "type": "ingest", "seq": 2, "deployment": "c",
+              "n_packets": n_packets}
+    with pytest.raises(protocol.FramingError) as exc:
+        protocol.attachment_size(header)
+    assert (exc.value.code, exc.value.seq) == ("bad_request", 2)
+    assert "n_packets" in str(exc.value)
+
+
+def test_attachment_size_is_read_from_the_header_alone():
+    assert protocol.attachment_size({"type": "subscribe"}) == 0
+    assert protocol.attachment_size({"n_packets": 1}) == 368
+    assert protocol.attachment_size(
+        {"n_packets": protocol.MAX_BATCH, "v": 99, "deployment": "no spaces"}
+    ) == protocol.MAX_BATCH * 368
 
 
 def test_more_than_max_batch_is_bad_request():
+    """``ingest_columns`` refuses a batch no header can announce, so the
+    SDK sends rows and the sink answers the row shape's bad_request
+    instead of closing the connection."""
     n = protocol.MAX_BATCH + 1
-    msg = protocol.ingest_columns(
-        "c", [0] * n, list(range(n)), [0.0] * n, np.zeros((n, NUM_METRICS)), 2
-    )
+    with pytest.raises(ValueError):
+        protocol.ingest_columns(
+            "c", [0] * n, list(range(n)), [0.0] * n,
+            np.zeros((n, NUM_METRICS)), 2,
+        )
+    packets = [{"node_id": 0, "epoch": i, "generated_at": 0.0,
+                "values": [0.0] * NUM_METRICS} for i in range(n)]
+    msg = protocol.ingest("c", packets, 2)
+    assert "packets" in msg and "n_packets" not in msg
     with pytest.raises(protocol.ProtocolError) as exc:
-        protocol.parse_ingest(_wire(msg))
+        protocol.parse_ingest(*through_wire(msg))
     assert (exc.value.code, exc.value.seq) == ("bad_request", 2)
     assert "MAX_BATCH" in str(exc.value)
 
 
-def test_wrong_length_base64_is_rejected_before_decoding(monkeypatch):
-    """The character count is known from the columns, so a string of the
-    wrong length is refused without being decoded."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("decoded a values_f64 of the wrong length")
-
-    for transform in (lambda s: s[:-4], lambda s: s + "AAAA"):
-        msg = _good()
-        _b64(transform)(msg)
-        line = _wire(msg)
-        monkeypatch.setattr(protocol.base64, "b64decode", refuse)
-        with pytest.raises(protocol.ProtocolError) as exc:
-            protocol.parse_ingest(line)
-        monkeypatch.undo()
-        assert (exc.value.code, exc.value.seq) == ("bad_request", 5)
-        assert "base64 characters of" in str(exc.value)
-
-
 BAD_PACKETS = {
+    # An attachment carries these (the SDK sends them as rows, a
+    # hand-packed attachment reaches the sink's own checks).
     "NaN value": ("values", math.nan),
     "+inf value": ("values", math.inf),
     "-inf value": ("values", -math.inf),
-    "bool node_id": ("node_id", True),
-    "bool epoch": ("epoch", False),
+    "NaN generated_at": ("generated_at", math.nan),
+    "inf generated_at": ("generated_at", math.inf),
     "negative node_id": ("node_id", -1),
     "negative epoch": ("epoch", -3),
+    # Only JSON carries these; the SDK sends them as rows.
+    "bool node_id": ("node_id", True),
+    "bool epoch": ("epoch", False),
     "node_id 2**63": ("node_id", 2**63),
     "epoch beyond int64": ("epoch", 10**30),
     "float node_id": ("node_id", 2.0),
     "string epoch": ("epoch", "4"),
-    "NaN generated_at": ("generated_at", math.nan),
-    "inf generated_at": ("generated_at", math.inf),
     "string generated_at": ("generated_at", "soon"),
     "huge int generated_at": ("generated_at", 10**400),
 }
+
+#: The BAD_PACKETS cases an attachment can carry.
+PACKABLE = {"NaN value", "+inf value", "-inf value", "NaN generated_at",
+            "inf generated_at", "negative node_id", "negative epoch"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_PACKETS))
@@ -334,14 +541,23 @@ def test_packet_defects_answer_as_the_row_shape(case):
         packets[4]["values"][17] = value
     else:
         packets[4][field] = value
-    packets[5]["node_id"] = -2  # a later bad packet is not the one named
-    with pytest.raises(protocol.ProtocolError) as got:
-        protocol.parse_ingest(_wire(_columnar(packets, seq=9)))
+    packets[5]["values"][0] = math.nan  # a later bad packet is not named
+    rows = through_wire(protocol.ingest_rows("c", packets))[0]["packets"]
     with pytest.raises(protocol.ProtocolError) as want:
-        protocol.parse_packet(_wire({"p": packets[4]})["p"], 9)
-    assert (got.value.code, got.value.seq, str(got.value)) == (
-        "bad_packet", 9, str(want.value)
-    )
+        protocol.parse_packet(rows[4], 9)
+    msg = protocol.ingest("city-a", packets, seq=9)
+    assert "packets" in msg and "n_packets" not in msg
+    shapes = [through_wire(msg)]
+    if _packable(packets):
+        shapes.append(pack(packets, seq=9))
+    if case in PACKABLE:
+        assert len(shapes) == 2  # the sink's own checks are exercised
+    for shape in shapes:
+        with pytest.raises(protocol.ProtocolError) as got:
+            protocol.parse_ingest(*shape)
+        assert (got.value.code, got.value.seq, str(got.value)) == (
+            "bad_packet", 9, str(want.value)
+        )
 
 
 # --------------------------------------------------------------------------
@@ -408,15 +624,15 @@ def test_served_shapes_give_identical_streams(testbed_tool, testbed_trace,
     assert expected
     served = {}
     for shape, build in (("rows", protocol.ingest_rows),
-                         ("columns", protocol.ingest)):
+                         ("attachment", protocol.ingest)):
         lines = [protocol.encode(build(DEPLOYMENT, batch, seq))
                  for seq, batch in enumerate(batches, start=1)]
-        assert (b'"packets"' in lines[0]) == (shape == "rows")
+        assert (b'"n_packets"' in lines[0]) == (shape == "attachment")
         served[shape] = _serve(testbed_tool, workers, lines, len(packets))
-    rows, columns = served["rows"], served["columns"]
-    assert columns[0] == rows[0] == expected  # byte-identical events
-    assert columns[1] == rows[1]
-    assert columns[1]["packets"] == len(packets)
-    assert columns[1]["batches_rejected"] == 0
-    assert columns[2] == rows[2]
-    assert columns[2]["deployments"][DEPLOYMENT]["closed_total"] > 0
+    rows, attached = served["rows"], served["attachment"]
+    assert attached[0] == rows[0] == expected  # byte-identical events
+    assert attached[1] == rows[1]
+    assert attached[1]["packets"] == len(packets)
+    assert attached[1]["batches_rejected"] == 0
+    assert attached[2] == rows[2]
+    assert attached[2]["deployments"][DEPLOYMENT]["closed_total"] > 0

@@ -33,6 +33,7 @@ from repro.core.inference import (
     sparsify_inferred,
 )
 from repro.core.sparsify import sparsify_weights
+from repro.core.states import build_states
 from repro.core.streaming import StreamingDiagnosisSession, iter_packets
 from repro.metrics.catalog import NUM_METRICS
 from repro.obs import MetricsRegistry, set_registry
@@ -363,6 +364,49 @@ def test_session_counts_solves_in_its_own_registry(
     assert (warm_starts > 0) == warm
     # No second count in the process-default registry.
     assert "repro_core_nnls_states_total" not in default.collect()
+
+
+def test_default_registry_solves_bind_their_metrics_once(
+    testbed_tool, testbed_trace, monkeypatch
+):
+    """Solves that pass no ``metrics`` (``VN2.diagnose``,
+    ``observation_weights``, ``infer_weights_batch``) reuse one
+    :class:`NNLSMetrics` per default registry, and a ``set_registry``
+    moves them to the new one."""
+    from repro.core import inference
+    from repro.core.incidents import observation_weights
+
+    bound = []
+    real = inference.NNLSMetrics
+
+    class Counting(real):
+        __slots__ = ()
+
+        def __init__(self, registry, labels=None):
+            bound.append(registry)
+            super().__init__(registry, labels)
+
+    monkeypatch.setattr(inference, "NNLSMetrics", Counting)
+    states = build_states(testbed_trace).values[:6]
+    first, second = MetricsRegistry(), MetricsRegistry()
+    previous = set_registry(first)
+    try:
+        for state in states[:3]:
+            testbed_tool.diagnose(state)
+            observation_weights(testbed_tool, state)
+        infer_weights_batch(testbed_tool.psi, states[:2])
+        assert bound == [first]
+        set_registry(second)
+        for state in states[3:]:
+            testbed_tool.diagnose(state)
+        assert bound == [first, second]
+    finally:
+        set_registry(previous)
+    counted = [
+        registry.counter("repro_core_nnls_states_total").value
+        for registry in (first, second)
+    ]
+    assert counted == [3 + 3 + 2, 3]
 
 
 def test_every_one_column_solve_goes_through_solve_passive_column(

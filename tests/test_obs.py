@@ -257,6 +257,23 @@ def test_registry_reset_drops_series():
     assert reg.counter("repro_x_total").value == 0
 
 
+def test_registry_bound_handles_are_made_once_per_registry():
+    made = []
+
+    def handles(registry):
+        made.append(registry)
+        return registry.counter("repro_x_total")
+
+    reg, other = MetricsRegistry(), MetricsRegistry()
+    assert reg.bound(handles) is reg.bound(handles)
+    assert other.bound(handles) is not reg.bound(handles)
+    assert made == [reg, other]
+    reg.reset()  # the bound handles went with the series
+    reg.bound(handles).inc()
+    assert made == [reg, other, reg]
+    assert reg.counter("repro_x_total").value == 1
+
+
 def test_default_registry_swap():
     previous = set_registry(NULL_REGISTRY)
     try:

@@ -110,7 +110,7 @@ class _FlakySink(threading.Thread):
     """Accepts connections; drops the first ``drop_first`` mid-request.
 
     Every connection gets a hello.  The first ``drop_first`` connections
-    read one line and close without replying — exactly the ack-never-
+    read one message and close without replying — exactly the ack-never-
     arrived case the SDK must recover from by reconnecting and resending.
     With ``hold``, they keep the connection open instead, until the
     client's ack timeout gives up on it.  Later connections ack every
@@ -144,7 +144,9 @@ class _FlakySink(threading.Thread):
                     line = file.readline()
                     if not line:
                         break
-                    seq, _, batch = protocol.parse_ingest(json.loads(line))
+                    header = protocol.decode(line)
+                    attachment = file.read(protocol.attachment_size(header))
+                    seq, _, batch = protocol.parse_ingest(header, attachment)
                     self.seen_batches.append(batch.epochs.tolist())
                     if drop:
                         if self.hold:

@@ -15,6 +15,7 @@ import pytest
 
 from repro.metrics.catalog import NUM_METRICS
 from repro.service import protocol
+from tests.test_ingest_columns import through_wire
 
 
 def _packet(**overrides):
@@ -124,9 +125,9 @@ def test_missing_packet_field_rejected():
 
 
 def test_parse_ingest_happy_path():
-    seq, deployment, batch = protocol.parse_ingest(
+    seq, deployment, batch = protocol.parse_ingest(*through_wire(
         protocol.ingest("city-a", [_packet(), _packet(epoch=4)], seq=9)
-    )
+    ))
     assert seq == 9
     assert deployment == "city-a"
     assert batch.epochs.tolist() == [3, 4]
@@ -229,7 +230,9 @@ def test_parse_ingest_returns_packet_batch():
 
     packets = [_packet(node_id=i, epoch=2 * i, generated_at=float(i))
                for i in range(5)]
-    _, _, batch = protocol.parse_ingest(protocol.ingest("city-a", packets))
+    _, _, batch = protocol.parse_ingest(
+        *through_wire(protocol.ingest("city-a", packets))
+    )
     assert isinstance(batch, PacketBatch) and len(batch) == 5
     assert protocol._parse_columns(packets) is not None  # the fast path
     assert batch.node_ids.dtype == np.int64 == batch.epochs.dtype
