@@ -1,4 +1,4 @@
-"""Model-lifecycle acceptance benches: cheap absorbs, fast warm solves.
+"""Model-lifecycle acceptance benches: cheap absorbs, fast streaming solves.
 
 Two paired gates, both on the default CitySee model, both written to
 ``BENCH_pr8.json`` (``VN2_BENCH_DIR``) so CI keeps the numbers as an
@@ -7,22 +7,14 @@ artifact:
 * **Absorb speedup**: absorbing a new batch of states with
   :func:`~repro.core.lifecycle.incremental_refit` (warm-started NMF +
   early stop) is >= 5x faster than the cold ``VN2.fit`` it replaces.
-* **Warm-start p99**: per-packet streaming diagnosis through the
-  warm-started solver pipeline (normal-equations Cholesky solves +
-  cross-packet factorization cache + support seeding) has a p99 >=
-  1.3x better than the per-packet diagnosis it replaced — cold block
-  pivoting that starts every solve from zero and refactorizes every
-  passive set with ``lstsq`` per call (the seed's solve path, kept
-  verbatim in this module as the baseline).  Run at
-  ``threshold_ratio=0.0`` so every completed state takes the solver
-  path (the warm start's whole surface).
-
-The same-solver cold-vs-warm ratio is *recorded* in the artifact too,
-but deliberately not gated: on the default CitySee model NNLS supports
-are dense (~19 of 20 causes active), so block pivoting's first pivot
-already lands on a near-correct support and seeding alone is worth only
-a few percent — the measured latency win comes from the factorization
-reuse the warm session carries across packets.
+* **Streaming solve p99**: per-packet streaming diagnosis through the
+  default session's solver pipeline (normal-equations Cholesky solves +
+  the session's cross-packet factorization cache) has a p99 >= 1.3x
+  better than the per-packet diagnosis it replaced — block pivoting
+  that refactorizes every passive set with ``lstsq`` per call (the
+  seed's solve path, kept verbatim in this module as the baseline).
+  Run at ``threshold_ratio=0.0`` so every completed state takes the
+  solver path.
 
 Both gates are wall-clock ratios of *paired* runs in the same process,
 so machine speed divides out; a tiny runner skips rather than flakes.
@@ -132,7 +124,7 @@ def _baseline_solve_passive_column(A, B, AtA, AtB, passive, key, cache=None):
     design matrix restricted to the passive set, refactorized on every
     call (the one-column case of the seed's per-pattern loop).
 
-    This is what per-packet diagnosis paid before the warm-started solver
+    This is what per-packet diagnosis paid before the current solver
     pipeline (no normal equations, no cross-packet factor reuse); the p99
     gate measures the streaming ingest improvement against it.  ``AtA`` /
     ``AtB`` / ``key`` / ``cache`` are accepted only to match the current
@@ -146,19 +138,18 @@ def _baseline_solve_passive_column(A, B, AtA, AtB, passive, key, cache=None):
 
 @pytest.mark.skipif(_TINY_RUNNER, reason="paired timing gate needs >1 core")
 def test_bench_warm_start_streaming_p99(benchmark, citysee_default_trace):
-    """Paired per-packet latency: warm-started pipeline vs the seed path."""
+    """Paired per-packet latency: the default session vs the seed path."""
     from repro.core import inference
 
     frame = citysee_default_trace
     tool = VN2(VN2Config(rank=20)).fit(frame)
     packets = list(iter_packets(frame))
 
-    def replay(warm: bool) -> np.ndarray:
+    def replay() -> np.ndarray:
         session = StreamingDiagnosisSession(
             tool,
             registry=MetricsRegistry(enabled=False),
             threshold_ratio=0.0,  # every state through the solver
-            warm_start=warm,
         )
         times = []
         for packet in packets:
@@ -169,42 +160,36 @@ def test_bench_warm_start_streaming_p99(benchmark, citysee_default_trace):
         session.finish()
         return np.asarray(times)
 
-    replay(True)  # one warmup pass so allocator/cache effects divide out
+    replay()  # one warmup pass so allocator/cache effects divide out
     # Every per-state (one-column) passive solve goes through this name.
     current = inference._solve_passive_column
     inference._solve_passive_column = _baseline_solve_passive_column
     try:
-        baseline = replay(False)
+        baseline = replay()
     finally:
         inference._solve_passive_column = current
-    cold = replay(False)  # current solver, no cross-packet caches
-    warm = benchmark.pedantic(lambda: replay(True), rounds=1, iterations=1)
-    assert len(warm) == len(cold) == len(baseline)
+    session = benchmark.pedantic(replay, rounds=1, iterations=1)
+    assert len(session) == len(baseline)
 
     baseline_p99 = float(np.percentile(baseline, 99))
-    cold_p99 = float(np.percentile(cold, 99))
-    warm_p99 = float(np.percentile(warm, 99))
-    ratio = baseline_p99 / warm_p99
+    session_p99 = float(np.percentile(session, 99))
+    ratio = baseline_p99 / session_p99
 
-    print("\n=== Warm-started NNLS streaming p99 (default CitySee) ===")
+    print("\n=== Streaming NNLS p99 (default CitySee) ===")
     print(f"baseline p99 (seed lstsq path): {baseline_p99 * 1e3:.3f} ms "
           f"over {len(baseline)} state solves")
-    print(f"cold p99 (current solver, no caches): {cold_p99 * 1e3:.3f} ms")
-    print(f"warm p99 (seeded + factor cache): {warm_p99 * 1e3:.3f} ms")
-    print(f"improvement {ratio:.2f}x (floor {WARM_P99_FLOOR:.1f}x); "
-          f"same-solver cold/warm {cold_p99 / warm_p99:.2f}x (recorded)")
+    print(f"session p99 (factor cache): {session_p99 * 1e3:.3f} ms")
+    print(f"improvement {ratio:.2f}x (floor {WARM_P99_FLOOR:.1f}x)")
 
     _record("warm_start_p99", {
         "baseline_p99_ms": baseline_p99 * 1e3,
-        "cold_p99_ms": cold_p99 * 1e3,
-        "warm_p99_ms": warm_p99 * 1e3,
+        "session_p99_ms": session_p99 * 1e3,
         "improvement": ratio,
-        "same_solver_cold_over_warm": cold_p99 / warm_p99,
         "floor": WARM_P99_FLOOR,
-        "n_solves": int(len(cold)),
+        "n_solves": int(len(session)),
     })
 
     assert ratio >= WARM_P99_FLOOR, (
-        f"warm-started ingest p99 only {ratio:.2f}x better than the "
+        f"streaming ingest p99 only {ratio:.2f}x better than the "
         f"seed's per-packet solve path (floor {WARM_P99_FLOOR:.1f}x)"
     )

@@ -116,13 +116,10 @@ def node_health_report(
         exception_flags = np.zeros(0, dtype=bool)
         cause_counter: Counter = Counter()
         if len(node_states) > 0:
-            try:
-                exception_flags = (
-                    tool._exception_scores(node_states.values)
-                    >= exception_threshold
-                )
-            except RuntimeError:
-                exception_flags = np.zeros(len(node_states), dtype=bool)
+            exception_flags = (
+                tool._exception_scores(node_states.values)
+                >= exception_threshold
+            )
             exceptional_idx = np.flatnonzero(exception_flags)
             if exceptional_idx.size:
                 weights = sparsify_inferred(

@@ -261,12 +261,9 @@ def score_frame(
     )
     exceptional = np.ones(len(states), dtype=bool)
     if exception_threshold is not None:
-        try:
-            exceptional = (
-                tool._exception_scores(states.values) >= exception_threshold
-            )
-        except RuntimeError:
-            pass  # loaded model without training stats: no gate
+        exceptional = (
+            tool._exception_scores(states.values) >= exception_threshold
+        )
 
     predicted: List[Set[str]] = [
         predicted_families(tool, weights[i], min_strength)

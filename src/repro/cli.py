@@ -474,16 +474,17 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
 def _cmd_model_info(args: argparse.Namespace) -> int:
     from repro.core.pipeline import VN2
 
-    tool = VN2.load(args.model)
+    try:
+        tool = VN2.load(args.model)
+    except ValueError as exc:
+        print(f"vn2 model info: {exc}", file=sys.stderr)
+        return 1
     meta = tool._sidecar_meta()
     norm = meta.get("normalizer") or {}
-    if tool._train_mean is None:
-        stats = "absent (legacy save: every served state is diagnosed)"
-    else:
-        stats = (
-            f"mean/std over {tool._train_mean.shape[0]} metrics, "
-            f"max_eps={tool._train_max_eps:.4f}"
-        )
+    stats = (
+        f"mean/std over {tool._train_mean.shape[0]} metrics, "
+        f"max_eps={tool._train_max_eps:.4f}"
+    )
     print(f"model: {args.model}")
     print(f"  model_version: {tool.model_version}")
     print(f"  rank: {meta['rank']}")
@@ -531,11 +532,9 @@ def _cmd_model_diff(args: argparse.Namespace) -> int:
         if va != vb:
             print(f"  meta {key}: {va!r} -> {vb!r}")
     arrays_a, arrays_b = a._payload_arrays(), b._payload_arrays()
-    for name in sorted(set(arrays_a) | set(arrays_b)):
-        arr_a, arr_b = arrays_a.get(name), arrays_b.get(name)
-        if arr_a is None or arr_b is None:
-            print(f"  array {name}: only in {'a' if arr_b is None else 'b'}")
-        elif arr_a.shape != arr_b.shape:
+    for name in sorted(arrays_a):
+        arr_a, arr_b = arrays_a[name], arrays_b[name]
+        if arr_a.shape != arr_b.shape:
             print(f"  array {name}: shape {arr_a.shape} -> {arr_b.shape}")
         elif not np.array_equal(arr_a, arr_b):
             delta = float(np.max(np.abs(arr_a - arr_b)))

@@ -59,7 +59,6 @@ from repro.core.streaming import (
     PacketBatch,
     StreamingDiagnosisSession,
     StreamUpdate,
-    WarmStartCache,
     iter_packets,
 )
 
@@ -102,6 +101,5 @@ __all__ = [
     "PacketBatch",
     "StreamingDiagnosisSession",
     "StreamUpdate",
-    "WarmStartCache",
     "iter_packets",
 ]

@@ -454,14 +454,11 @@ class IncidentAggregator:
         if len(states) == 0:
             return []
         if self.exception_threshold is not None:
-            try:
-                keep = np.flatnonzero(
-                    self.tool._exception_scores(states.values)
-                    >= self.exception_threshold
-                )
-                states = states.select(keep)
-            except RuntimeError:
-                pass  # loaded model: no stats, no gate
+            keep = np.flatnonzero(
+                self.tool._exception_scores(states.values)
+                >= self.exception_threshold
+            )
+            states = states.select(keep)
             if len(states) == 0:
                 return []
         out: List[Observation] = []

@@ -36,8 +36,8 @@ class NNLSSolverCache:
     and the passive-set pattern — not on the state — so a streaming
     session diagnosing packet after packet against one model keeps
     recomputing the same handful of Cholesky factors (supports cluster
-    around the model's active causes).  A warm-started session hands this
-    cache to every solve (:meth:`repro.core.plan.DiagnosisPlan.solve`)
+    around the model's active causes).  Every streaming session hands its
+    own cache to each solve (:meth:`repro.core.plan.DiagnosisPlan.solve`)
     so repeat patterns skip straight to the triangular solves.
 
     A cached factor is byte-for-byte the factor a cold call would have
@@ -79,7 +79,7 @@ class NNLSSolverCache:
 
 
 class NNLSMetrics:
-    """The four ``repro_core_nnls_*`` series one solver caller records.
+    """The three ``repro_core_nnls_*`` series one solver caller records.
 
     Bound once per caller (docs/observability.md: never create metrics
     inside the hot loop).  A :class:`StreamingDiagnosisSession` binds one
@@ -90,7 +90,7 @@ class NNLSMetrics:
     process-default registry.
     """
 
-    __slots__ = ("batches", "states", "warm_starts", "seconds")
+    __slots__ = ("batches", "states", "seconds")
 
     def __init__(self, registry, labels=None):
         self.batches = registry.counter(
@@ -101,22 +101,15 @@ class NNLSMetrics:
             "States diagnosed through batch NNLS",
             labels,
         )
-        self.warm_starts = registry.counter(
-            "repro_core_nnls_warm_starts_total",
-            "NNLS columns seeded from a previous solution",
-            labels,
-        )
         self.seconds = registry.histogram(
             "repro_core_nnls_batch_seconds",
             "Wall time of one batch NNLS sweep",
             labels,
         )
 
-    def record(self, n_states: int, n_warm: int, seconds: float) -> None:
+    def record(self, n_states: int, seconds: float) -> None:
         self.batches.inc()
         self.states.inc(n_states)
-        if n_warm:
-            self.warm_starts.inc(n_warm)
         self.seconds.observe(seconds)
 
 
@@ -225,8 +218,7 @@ def _solve_passive_sets(
     factorization (patterns repeat heavily in practice: most states
     activate the same few causes), falling back to ``lstsq`` on the
     design matrix for rank-deficient patterns.  With a ``cache``, factors
-    persist across calls — the cross-packet half of warm-starting — and
-    reuse is bit-identical to recomputation.
+    persist across calls, and reuse is bit-identical to recomputation.
     """
     r = F.shape[0]
     k = F.shape[1]
@@ -259,29 +251,16 @@ def _solve_passive_sets(
     return X
 
 
-def _pivot_columns(A, B, AtA, AtB, F, cache, max_iter, tol):
+def _pivot_columns(A, B, AtA, AtB, cache, max_iter, tol):
     """Block principal pivoting over every column at once (Kim & Park).
 
-    ``F`` is the (r, n) initial passive set (all False for a cold
-    start); it is updated in place.  Returns ``(X, n_warm)``: the (r, n)
-    solutions, not yet clipped at zero, and how many columns started
-    from a non-empty passive set.
+    Every column starts cold, from an empty passive set.  Returns the
+    (r, n) solutions, not yet clipped at zero.
     """
-    r, n = F.shape
+    r, n = AtA.shape[0], B.shape[1]
+    F = np.zeros((r, n), dtype=bool)  # passive (unconstrained) sets
     X = np.zeros((r, n))
     Y = -AtB.copy()  # dual: Y = AtA X - AtB
-    warm_cols = np.flatnonzero(F.any(axis=0))
-    if warm_cols.size:
-        X[:, warm_cols] = _solve_passive_sets(
-            A,
-            B[:, warm_cols],
-            F[:, warm_cols],
-            AtA,
-            AtB[:, warm_cols],
-            cache,
-        )
-        X[~F] = 0.0
-        Y[:, warm_cols] = AtA @ X[:, warm_cols] - AtB[:, warm_cols]
     # Backup-rule bookkeeping (per column): full exchanges are allowed
     # while they shrink the infeasible count; otherwise fall back to
     # flipping only the largest infeasible index, which provably
@@ -317,10 +296,10 @@ def _pivot_columns(A, B, AtA, AtB, F, cache, max_iter, tol):
 
     for j in np.flatnonzero(~converged):  # pathological columns only
         X[:, j], _ = nnls(A, B[:, j])
-    return X, int(warm_cols.size)
+    return X
 
 
-def _pivot_column(A, B, AtA, AtB, F, cache, max_iter, tol):
+def _pivot_column(A, B, AtA, AtB, cache, max_iter, tol):
     """:func:`_pivot_columns` for exactly one column, bit for bit.
 
     The per-state solve a streaming session makes.  The passive set, the
@@ -331,7 +310,7 @@ def _pivot_column(A, B, AtA, AtB, F, cache, max_iter, tol):
     ``AtA @ X - AtB``.  The solve zeroes everything off the passive set,
     so the sweep's ``X[~F] = 0.0`` has nothing to do here.
     """
-    flags = F[:, 0].tolist()
+    flags = [False] * AtA.shape[0]
     causes = range(len(flags))
 
     def solve():
@@ -339,13 +318,8 @@ def _pivot_column(A, B, AtA, AtB, F, cache, max_iter, tol):
         X = _solve_passive_column(A, B, AtA, AtB, passive, bytes(flags), cache)
         return X, X[:, 0].tolist(), (AtA @ X - AtB)[:, 0].tolist()
 
-    n_warm = 0
-    if True in flags:
-        n_warm = 1
-        X, x, y = solve()
-    else:
-        # Cold: X = 0 and Y = -AtB; x is read only where a flag is set.
-        X, x, y = np.zeros((len(flags), 1)), [], (-AtB)[:, 0].tolist()
+    # Cold: X = 0 and Y = -AtB; x is read only where a flag is set.
+    X, x, y = np.zeros((len(flags), 1)), [], (-AtB)[:, 0].tolist()
     floor = -tol
     alpha, beta = 3, len(flags) + 1
     for _ in range(max_iter):
@@ -367,7 +341,7 @@ def _pivot_column(A, B, AtA, AtB, F, cache, max_iter, tol):
         X, x, y = solve()
     else:  # no convergence within max_iter
         X[:, 0], _ = nnls(A, B[:, 0])
-    return X, n_warm
+    return X
 
 
 def infer_weights_batch(
@@ -376,7 +350,6 @@ def infer_weights_batch(
     max_iter: int = 100,
     tol: float = 1e-12,
     *,
-    warm_start: np.ndarray = None,
     solver_cache: "Optional[NNLSSolverCache]" = None,
     metrics: Optional[NNLSMetrics] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -399,28 +372,17 @@ def infer_weights_batch(
     on same-shaped operands, so its output is bit-identical to the sweep
     on that column; only the per-column bookkeeping is cheaper.
 
-    Warm-starting has two independent, bit-transparent halves:
-
-    * ``warm_start`` seeds each column's initial passive set from the
-      support of a previous solution (e.g. the same node's last
-      diagnosis) instead of the empty set.  Pivoting still runs to the
-      exact same KKT conditions — the final weights are the unique NNLS
-      solution either way, computed by the same passive-set solve — so
-      the seed changes how *fast* a column converges, never what it
-      converges to.
-    * ``solver_cache`` carries passive-set factorizations across calls
-      (they depend only on Ψ and the pattern, and supports repeat
-      heavily within a stream).  A cache hit reuses the exact factor a
-      cold call would recompute, so cached and uncached solves are
-      bit-identical.
+    Every column starts from an empty passive set.  ``solver_cache``
+    carries passive-set factorizations across calls (they depend only on
+    Ψ and the pattern, and supports repeat heavily within a stream).  A
+    cache hit reuses the exact factor an uncached call would recompute,
+    so cached and uncached solves are bit-identical.
 
     Args:
         Psi: (r, m) representative matrix.
         states: (n, m) states.
         max_iter: Pivoting-sweep cap before the scipy fallback.
         tol: Infeasibility tolerance on primal/dual variables.
-        warm_start: Optional (n, r) previous weights; rows of zeros (or
-            ``None``) leave the matching column cold-started.
         solver_cache: Optional :class:`NNLSSolverCache` shared across
             calls against the same Ψ (drop it when the model changes).
         metrics: Where the solve is counted (:class:`NNLSMetrics`);
@@ -449,24 +411,14 @@ def infer_weights_batch(
     AtA = A.T @ A
     AtB = A.T @ B
 
-    if warm_start is None:
-        F = np.zeros((r, n), dtype=bool)  # passive (unconstrained) sets
-    else:
-        ws = np.atleast_2d(np.asarray(warm_start, dtype=float))
-        if ws.shape != (n, r):
-            raise ValueError(
-                f"warm_start must be ({n}, {r}) to match states x Psi, "
-                f"got {ws.shape}"
-            )
-        F = ws.T > 0.0
     sweep = _pivot_column if n == 1 else _pivot_columns
-    X, n_warm = sweep(A, B, AtA, AtB, F, solver_cache, max_iter, tol)
+    X = sweep(A, B, AtA, AtB, solver_cache, max_iter, tol)
 
     X = np.maximum(X, 0.0)
     residuals = np.linalg.norm(B - A @ X, axis=0)
     if metrics is None:
         metrics = default_nnls_metrics()
-    metrics.record(n, n_warm, time.perf_counter() - _t0)
+    metrics.record(n, time.perf_counter() - _t0)
     return X.T, residuals
 
 

@@ -377,18 +377,16 @@ class VN2:
 
     def _payload_arrays(self) -> Dict[str, np.ndarray]:
         """The arrays :meth:`save` persists — also the hashed payload."""
-        arrays = {
+        return {
             "W": self.nmf_.W,
             "Psi": self.nmf_.Psi,
             "W_sparse": self.sparsify_.W_sparse,
             "lo": self.normalizer_.lo,
             "hi": self.normalizer_.hi,
+            "train_mean": self._train_mean,
+            "train_std": self._train_std,
+            "train_max_eps": np.array(self._train_max_eps),
         }
-        if self._train_mean is not None:
-            arrays["train_mean"] = self._train_mean
-            arrays["train_std"] = self._train_std
-            arrays["train_max_eps"] = np.array(self._train_max_eps)
-        return arrays
 
     def _sidecar_meta(self) -> Dict[str, object]:
         """The json sidecar document (sans ``model_version``)."""
@@ -462,18 +460,8 @@ class VN2:
         states' per-metric mean, and ``max(ε)`` the largest deviation seen
         in training.  A state scoring >= the training exception threshold
         (0.01 in the paper) would have been flagged as an exception.
-        Available on models fitted in-process and on models loaded from
-        saves that recorded the statistics (older saves did not).
         """
-        if getattr(self, "_train_mean", None) is None:
-            raise RuntimeError(
-                "exception_score needs training statistics; the model was "
-                "loaded from disk or not fitted"
-            )
-        state = np.asarray(state, dtype=float).ravel()
-        z = (state - self._train_mean) / self._train_std
-        eps = float((z * z).sum())
-        return eps / self._train_max_eps if self._train_max_eps > 0 else 0.0
+        return float(self._exception_scores(state)[0])
 
     def is_exception(self, state: np.ndarray, threshold_ratio: Optional[float] = None) -> bool:
         """True if ``state`` deviates like a training exception."""
@@ -543,11 +531,8 @@ class VN2:
 
     def _exception_scores(self, values: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`exception_score` over state rows."""
-        if getattr(self, "_train_mean", None) is None:
-            raise RuntimeError(
-                "exception scoring needs training statistics; the model "
-                "was loaded from disk or not fitted"
-            )
+        if self._train_mean is None:
+            raise RuntimeError("VN2 model is not fitted yet; call fit() first")
         values = np.atleast_2d(np.asarray(values, dtype=float))
         z = (values - self._train_mean) / self._train_std
         eps = (z * z).sum(axis=1)
@@ -714,16 +699,30 @@ class VN2:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "VN2":
-        """Load a model saved with :meth:`save` (older saves still load,
-        minus whatever they did not record).
+        """Load a model saved with :meth:`save`.
+
+        A sidecar without a recorded ``model_version`` loads unchecked.
 
         Raises:
             ModelIntegrityError: The sidecar records a ``model_version``
                 and the payload on disk no longer hashes to it.
+            ValueError: The save has no training statistics, so the
+                model could not screen states; re-fit it with
+                ``vn2 train``.
         """
         path = Path(path)
         sidecar = json.loads(path.with_suffix(".json").read_text())
         arrays = np.load(path.with_suffix(".npz"))
+        missing = [
+            name for name in ("train_mean", "train_std", "train_max_eps")
+            if name not in arrays.files
+        ]
+        if missing:
+            raise ValueError(
+                f"model at {path} has no training statistics "
+                f"({', '.join(missing)} missing), so it cannot screen "
+                "states; re-fit it with `vn2 train`"
+            )
         computed = _model_fingerprint(
             {name: arrays[name] for name in arrays.files}, sidecar
         )
@@ -748,10 +747,9 @@ class VN2:
             method=norm_meta.get("method", "robust"),
             robust_quantile=norm_meta.get("robust_quantile", 0.98),
         )
-        if "train_mean" in arrays:
-            tool._train_mean = arrays["train_mean"]
-            tool._train_std = arrays["train_std"]
-            tool._train_max_eps = float(arrays["train_max_eps"])
+        tool._train_mean = arrays["train_mean"]
+        tool._train_std = arrays["train_std"]
+        tool._train_max_eps = float(arrays["train_max_eps"])
         tool.nmf_ = NMFResult(
             W=arrays["W"],
             Psi=arrays["Psi"],

@@ -92,27 +92,20 @@ class DiagnosisPlan:
     def solve(
         self,
         normalized: np.ndarray,
-        previous: Optional[np.ndarray] = None,
         cache: Optional[inference.NNLSSolverCache] = None,
         metrics: Optional[inference.NNLSMetrics] = None,
     ) -> Tuple[np.ndarray, float]:
         """NNLS weights (length r) and residual of one normalized state.
 
-        ``previous`` seeds the passive set from an earlier solution's
-        support (warm start); ``cache`` carries passive-set factors
-        across calls.  Neither changes the result.
+        ``cache`` carries passive-set factors across calls; it never
+        changes the result.
         """
         t0 = time.perf_counter()
         A = self.A
-        r = A.shape[1]
         B = normalized.reshape(1, -1).T  # (m, 1), strided like states.T
         AtB = A.T @ B
-        if previous is None:
-            F = np.zeros((r, 1), dtype=bool)
-        else:
-            F = previous.reshape(1, r).T > 0.0
-        X, n_warm = inference._pivot_column(
-            A, B, self.AtA, AtB, F, cache, _MAX_ITER, _TOL
+        X = inference._pivot_column(
+            A, B, self.AtA, AtB, cache, _MAX_ITER, _TOL
         )
         X = np.maximum(X, 0.0)
         # np.linalg.norm(B - A @ X, axis=0) without its dispatch: the same
@@ -121,7 +114,7 @@ class DiagnosisPlan:
         residual = math.sqrt(np.add.reduce(diff * diff, axis=0)[0])
         if metrics is None:
             metrics = inference.default_nnls_metrics()
-        metrics.record(1, n_warm, time.perf_counter() - t0)
+        metrics.record(1, time.perf_counter() - t0)
         return X.T[0], residual
 
     def report(

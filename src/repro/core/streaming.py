@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter, OrderedDict, deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import (
@@ -62,7 +62,6 @@ import numpy as np
 
 from repro.obs import LATENCY_BUCKETS, MetricsRegistry, get_registry
 from repro.metrics.catalog import METRIC_INDEX
-from repro.core.exceptions import StreamingExceptionDetector
 from repro.core.incidents import (
     IncidentEvent,
     IncidentTracker,
@@ -189,85 +188,6 @@ def _slices(source) -> Iterator[PacketBatch]:
         yield PacketBatch.from_packets(chunk)
 
 
-class WarmStartCache:
-    """Bounded per-node LRU of previous NNLS weight vectors.
-
-    A node's successive exception states activate largely the same root
-    causes, so its previous solution's support is an excellent initial
-    passive set for the next solve (see
-    :func:`~repro.core.inference.infer_weights_batch` — the warm start
-    changes convergence speed, never the solution).  Two bounds keep the
-    cache honest on long-lived sinks:
-
-    * ``max_nodes`` — least-recently-solved nodes are evicted first;
-    * ``max_age_epochs`` — an entry older than this many epochs *in the
-      node's own epoch counting* is discarded on lookup, so a node that
-      fell silent and came back gets a cold solve (stale supports would
-      only slow pivoting down).
-
-    Every eviction — capacity or staleness — increments
-    ``repro_warmstart_evictions_total``.
-    """
-
-    def __init__(
-        self,
-        max_nodes: int = 1024,
-        max_age_epochs: int = 32,
-        registry: Optional[MetricsRegistry] = None,
-        labels: Optional[Mapping[str, str]] = None,
-    ):
-        if max_nodes < 1:
-            raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
-        if max_age_epochs < 1:
-            raise ValueError(
-                f"max_age_epochs must be >= 1, got {max_age_epochs}"
-            )
-        self.max_nodes = max_nodes
-        self.max_age_epochs = max_age_epochs
-        self._entries: "OrderedDict[int, Tuple[np.ndarray, int]]" = (
-            OrderedDict()
-        )
-        reg = get_registry() if registry is None else registry
-        self._m_evictions = reg.counter(
-            "repro_warmstart_evictions_total",
-            "Warm-start cache entries evicted (capacity or staleness)",
-            dict(labels) if labels else None,
-        )
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, node_id: int, epoch: int) -> Optional[np.ndarray]:
-        """Previous weights for ``node_id``, or None (cold) when absent
-        for more than ``max_age_epochs`` epochs."""
-        entry = self._entries.get(node_id)
-        if entry is None:
-            return None
-        weights, last_epoch = entry
-        if epoch - last_epoch > self.max_age_epochs:
-            del self._entries[node_id]
-            self._m_evictions.inc()
-            return None
-        return weights
-
-    def put(self, node_id: int, epoch: int, weights: np.ndarray) -> None:
-        """Record a node's latest solution (evicting LRU past capacity)."""
-        if node_id in self._entries:
-            self._entries.move_to_end(node_id)
-        self._entries[node_id] = (
-            np.array(weights, dtype=float).ravel(),
-            int(epoch),
-        )
-        while len(self._entries) > self.max_nodes:
-            self._entries.popitem(last=False)
-            self._m_evictions.inc()
-
-    def clear(self) -> None:
-        """Drop every entry (model rotation: old supports are meaningless
-        against a new Ψ).  Not counted as evictions."""
-        self._entries.clear()
-
-
 @dataclass
 class StreamUpdate:
     """Everything one completed state produced.
@@ -275,9 +195,8 @@ class StreamUpdate:
     Attributes:
         state: The emitted network state (``None`` only on the final
             flush update of :meth:`VN2.diagnose_stream`).
-        score: The ε/max(ε) exception score (``None`` only on the flush
-            update; a model without training statistics reports its
-            online Welford score).
+        score: The ε/max(ε) exception score against the model's training
+            statistics (``None`` only on the flush update).
         is_exception: Whether the state passed the exception screen (and
             was therefore diagnosed).
         report: Root-cause diagnosis of the state; ``None`` for screened-
@@ -316,21 +235,16 @@ class StreamingDiagnosisSession:
             session (and its tracker) emits, e.g. ``{"deployment": name}``.
             A ``model_version`` label, when present, is re-stamped by
             :meth:`set_model` on every rotation.
-        warm_start: Seed each node's NNLS solve from its previous solution
-            (on by default — same weights, fewer pivoting sweeps; see
-            :class:`WarmStartCache`).
-        warm_cache_nodes / warm_max_age: Warm-start cache bounds (LRU node
-            capacity; staleness in the node's own epochs before a cold
-            solve).
         keep_exception_states: Retain up to this many recent exception
             states for :meth:`drain_exception_states` (0 = keep none) —
             the feedstock of incremental refits.
         drift_window: Relative-residual samples behind :attr:`drift_score`.
 
-    A model without training statistics (saved by an older version)
-    cannot screen, so — exactly like the batch aggregator's fallback —
-    every state is diagnosed; an online Welford screen still supplies an
-    informational score.
+    Every state is screened against the model's training statistics
+    (:meth:`VN2.load` refuses saves without them).  Each flagged state's
+    NNLS solve starts cold; the session's
+    :class:`~repro.core.inference.NNLSSolverCache` carries passive-set
+    factorizations from solve to solve.
     """
 
     def __init__(
@@ -347,9 +261,6 @@ class StreamingDiagnosisSession:
         max_closed_incidents: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
         metric_labels: Optional[Mapping[str, str]] = None,
-        warm_start: bool = True,
-        warm_cache_nodes: int = 1024,
-        warm_max_age: int = 32,
         keep_exception_states: int = 0,
         drift_window: int = 256,
     ):
@@ -385,24 +296,11 @@ class StreamingDiagnosisSession:
         # disabled, so inc() stays safe either way.
         self._obs_on = self.registry.enabled
         self._bind_metrics()
-        self._warm: Optional[WarmStartCache] = (
-            WarmStartCache(
-                max_nodes=warm_cache_nodes,
-                max_age_epochs=warm_max_age,
-                registry=self.registry,
-                labels=labels,
-            )
-            if warm_start
-            else None
-        )
-        # The other half of warm-starting: passive-set factorizations are
-        # functions of Ψ alone, so they survive from packet to packet
-        # (cleared on model rotation).  Reuse is bit-identical to
-        # recomputation — see NNLSSolverCache.
-        self._solver_cache: Optional[NNLSSolverCache] = (
-            NNLSSolverCache(registry=self.registry, labels=labels)
-            if warm_start
-            else None
+        # Passive-set factorizations are functions of Ψ alone, so they
+        # survive from packet to packet (cleared on model rotation).
+        # Reuse is bit-identical to recomputation — see NNLSSolverCache.
+        self._solver_cache = NNLSSolverCache(
+            registry=self.registry, labels=labels
         )
         self._reservoir: Optional["deque[StreamedState]"] = (
             deque(maxlen=keep_exception_states)
@@ -454,14 +352,6 @@ class StreamingDiagnosisSession:
     def _bind_model(self, tool: VN2) -> None:
         self.tool = tool
         self._plan = tool.plan
-        self._has_stats = getattr(tool, "_train_mean", None) is not None
-        self._fallback: Optional[StreamingExceptionDetector] = (
-            None
-            if self._has_stats
-            else StreamingExceptionDetector(
-                threshold_ratio=self.threshold_ratio, keep_states=False
-            )
-        )
 
     @property
     def n_packets(self) -> int:
@@ -579,12 +469,8 @@ class StreamingDiagnosisSession:
         flags = np.zeros(0, dtype=bool)
         diagnoses = []
         if len(states):
-            if self._has_stats:
-                scores = self.tool._exception_scores(states.values)
-                flags = scores >= self.threshold_ratio
-            else:
-                scores = [self._fallback_score(row) for row in states.values]
-                flags = np.ones(len(states), dtype=bool)
+            scores = self.tool._exception_scores(states.values)
+            flags = scores >= self.threshold_ratio
             self._summarize_states(states.node_ids, scores, flags)
             diagnoses = [
                 self._diagnose(states.streamed(i))
@@ -634,13 +520,6 @@ class StreamingDiagnosisSession:
             summary["score"] = float(score)
             summary["exception"] = flag
 
-    def _fallback_score(self, values: np.ndarray) -> Optional[float]:
-        # Stat-less legacy model: match the batch aggregator's fallback
-        # (diagnose everything), Welford score for display.
-        score = self._fallback.score(values)
-        self._fallback.update(values)
-        return score
-
     def _diagnose(
         self, state: StreamedState
     ) -> Tuple[
@@ -658,18 +537,13 @@ class StreamingDiagnosisSession:
             self._reservoir.append(state)
         # ONE per-state solve on the model's plan, reused for the report
         # and the observations, so batch and stream agree bit for bit on
-        # observation strengths without a second NNLS.  The node's last
-        # solution warm-starts the pivoting (same solution, fewer sweeps).
+        # observation strengths without a second NNLS.
         plan = self._plan
         node_id = state.node_id
         normalized = plan.normalize(state.values)
-        warm = self._warm
-        previous = None if warm is None else warm.get(node_id, state.epoch_to)
         weights, residual = plan.solve(
-            normalized, previous, self._solver_cache, self._m_nnls
+            normalized, self._solver_cache, self._m_nnls
         )
-        if warm is not None:
-            warm.put(node_id, state.epoch_to, weights)
         state_norm = plan.state_norm(normalized)
         # The report's relative residual.
         self._drift.append(residual / state_norm if state_norm > 0 else 0.0)
@@ -726,10 +600,9 @@ class StreamingDiagnosisSession:
         packet cache, the incident tracker with its open incidents, and
         every counter — so the packet stream continues seamlessly: the
         next completed state is diagnosed by the new model.  Everything
-        *model-derived* is reset: the warm-start cache (old supports are
-        meaningless against a new Ψ), the solver's factorization cache
-        (old factors are *wrong* against a new Ψ) and the drift window
-        (the new model gets a clean slate).
+        *model-derived* is reset: the solver's factorization cache (old
+        factors are *wrong* against a new Ψ) and the drift window (the
+        new model gets a clean slate).
 
         The screening threshold chosen at construction is kept — rotation
         changes the model, not the session's operating point.  When the
@@ -746,10 +619,7 @@ class StreamingDiagnosisSession:
         tool._require_fitted()
         boundary = {"packets": self.n_packets, "states": self.n_states}
         self._bind_model(tool)
-        if self._warm is not None:
-            self._warm.clear()
-        if self._solver_cache is not None:
-            self._solver_cache.clear()
+        self._solver_cache.clear()
         self._drift.clear()
         if self._labels is not None and "model_version" in self._labels:
             self._labels = {**self._labels, "model_version": tool.model_version}

@@ -62,6 +62,8 @@ import bisect
 import json
 import math
 import re
+from itertools import chain
+from numbers import Real
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -203,8 +205,9 @@ def parse_packet(obj, seq: Optional[int] = None) -> Tuple[int, int, float, np.nd
     :func:`parse_ingest` builds (and exactly what
     :meth:`repro.core.streaming.StreamingDiagnosisSession.push_packet`
     takes).  Checks: integer ``node_id`` and ``epoch`` in ``[0, MAX_ID]``,
-    finite ``generated_at``, and a ``values`` list of exactly
-    :data:`~repro.metrics.catalog.NUM_METRICS` finite numbers.
+    finite numeric ``generated_at``, and a ``values`` list of exactly
+    :data:`~repro.metrics.catalog.NUM_METRICS` finite numbers.  A number
+    is a JSON integer or float: never ``true``/``false`` or a string.
     """
     if not isinstance(obj, dict):
         raise ProtocolError("bad_packet", "packet must be a JSON object", seq)
@@ -223,12 +226,13 @@ def parse_packet(obj, seq: Optional[int] = None) -> Tuple[int, int, float, np.nd
             f"values must list exactly {NUM_METRICS} catalog metrics, got {got}",
             seq,
         )
+    if not _numbers(values):
+        raise _bad_values(seq)
     try:
         array = np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # nested, ragged, huge
-        array = None
-    if (array is None or array.shape != (NUM_METRICS,)
-            or not np.all(np.isfinite(array))):
+    except OverflowError:  # an int too large for a float
+        raise _bad_values(seq) from None
+    if not np.all(np.isfinite(array)):
         raise _bad_values(seq)
     return int(node_id), int(epoch), float(generated_at), array
 
@@ -243,7 +247,8 @@ def _check_scalars(node_id, epoch, generated_at, seq: Optional[int]) -> None:
                 f"{name} must be an integer in [0, 2**63), got {value!r}",
                 seq,
             )
-    if not isinstance(generated_at, (int, float)) or not _finite(generated_at):
+    if (not isinstance(generated_at, (int, float))
+            or isinstance(generated_at, bool) or not _finite(generated_at)):
         raise ProtocolError(
             "bad_packet", f"generated_at must be a finite number, got {generated_at!r}", seq
         )
@@ -276,6 +281,19 @@ _NUMBER = {int, float}
 _LIST = {list}
 
 
+def _numbers(items) -> bool:
+    """Whether every item is a real number and none a ``bool``.
+
+    ``np.asarray(..., dtype=float)`` would take ``True`` as 1.0 and the
+    string ``"1.5"`` as 1.5; neither is a JSON number.  NumPy scalars
+    pass (an SDK caller may hand them in), and JSON never carries them.
+    """
+    return all(
+        issubclass(kind, Real) and not issubclass(kind, bool)
+        for kind in set(map(type, items))
+    )
+
+
 def _parse_columns(packets: list) -> Optional[PacketBatch]:
     """A row-shaped batch as columns, or None if any packet fails any
     check.
@@ -295,7 +313,8 @@ def _parse_columns(packets: list) -> Optional[PacketBatch]:
         return None
     if (set(map(type, values)) != _LIST or set(map(type, node_ids)) != _INT
             or set(map(type, epochs)) != _INT
-            or not set(map(type, times)) <= _NUMBER):
+            or not set(map(type, times)) <= _NUMBER
+            or not _numbers(chain.from_iterable(values))):
         return None
     try:
         batch = PacketBatch(

@@ -114,31 +114,25 @@ class OracleSession(StreamingDiagnosisSession):
 
     ``reports`` keeps the chain's own report of every diagnosed state, in
     order; ``_diagnose`` returns the session's ``(solution, observations,
-    events)``, like the session it stands in for.
+    events)``, like the session it stands in for.  ``cached=False`` solves
+    without the session's factor cache.
     """
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, cached: bool = True, **kwargs):
         super().__init__(*args, **kwargs)
         self.reports: List[DiagnosisReport] = []
+        self._solver_cache = self._solver_cache if cached else None
 
     def _diagnose(self, state):
         if self._reservoir is not None:
             self._reservoir.append(state)
         normalized = self.tool._normalize_states(state.values)
-        previous = (
-            self._warm.get(state.node_id, state.epoch_to)
-            if self._warm is not None
-            else None
-        )
         weights, residuals = infer_weights_batch(
             self.tool.nmf_.Psi,
             normalized,
-            warm_start=None if previous is None else previous[None, :],
             solver_cache=self._solver_cache,
             metrics=self._m_nnls,
         )
-        if self._warm is not None:
-            self._warm.put(state.node_id, state.epoch_to, weights[0])
         solution = (
             weights[0], float(residuals[0]),
             float(np.linalg.norm(normalized[0])),

@@ -138,15 +138,11 @@ class PacketLoopSession(StreamingDiagnosisSession):
     def push_state(self, state: StreamedState) -> StreamUpdate:
         """Screen, diagnose and cluster one completed state."""
         self._m_states.inc()
-        if self._has_stats:
-            score = float(self.tool._exception_scores(state.values)[0])
-            flagged = score >= self.threshold_ratio
-        else:
-            score = self._fallback_score(state.values)
-            flagged = True
+        score = float(self.tool._exception_scores(state.values)[0])
+        flagged = score >= self.threshold_ratio
         summary = self._summary(state.node_id)
         summary["states"] += 1
-        summary["score"] = None if score is None else float(score)
+        summary["score"] = score
         summary["exception"] = bool(flagged)
         if not flagged:
             return StreamUpdate(

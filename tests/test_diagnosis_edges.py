@@ -41,26 +41,51 @@ def test_exception_score_survives_save_load(tmp_path, testbed_tool):
     assert loaded.exception_score(state) == testbed_tool.exception_score(state)
 
 
-def test_exception_score_requires_training_stats(tmp_path, testbed_tool):
-    # A legacy save (before training statistics were persisted) still
-    # loads, but cannot screen states.  Legacy sidecars also predate
-    # model_version, so none is recorded — otherwise the integrity
-    # check would (rightly) reject the altered payload.
-    import json
-
-    path = tmp_path / "model"
-    testbed_tool.save(path)
+def _strip_training_stats(tool, path):
+    """Save ``tool`` the way versions before training statistics did."""
+    tool.save(path)
     with np.load(path.with_suffix(".npz")) as arrays:
         stripped = {
             k: arrays[k] for k in arrays.files if not k.startswith("train_")
         }
     np.savez_compressed(path.with_suffix(".npz"), **stripped)
-    sidecar = json.loads(path.with_suffix(".json").read_text())
-    sidecar.pop("model_version", None)
-    path.with_suffix(".json").write_text(json.dumps(sidecar))
-    loaded = VN2.load(path)
-    with pytest.raises(RuntimeError):
-        loaded.exception_score(np.zeros(NUM_METRICS))
+
+
+def test_exception_score_requires_training_stats(tmp_path, testbed_tool):
+    """A save without training statistics cannot screen states, so it is
+    refused at load, naming the file and the fix."""
+    path = tmp_path / "model"
+    _strip_training_stats(testbed_tool, path)
+    with pytest.raises(ValueError, match="vn2 train") as refused:
+        VN2.load(path)
+    assert str(path) in str(refused.value)
+    assert "train_mean" in str(refused.value)
+
+
+def test_model_info_refuses_stat_less_save(tmp_path, testbed_tool, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "model"
+    _strip_training_stats(testbed_tool, path)
+    assert main(["model", "info", str(path)]) != 0
+    err = capsys.readouterr().err
+    assert "no training statistics" in err and "vn2 train" in err
+
+
+def test_unfitted_model_cannot_score():
+    with pytest.raises(RuntimeError, match="not fitted"):
+        VN2().exception_score(np.zeros(NUM_METRICS))
+
+
+def test_exception_score_is_the_vectorized_score(testbed_tool, testbed_trace):
+    """``exception_score`` is one row of ``_exception_scores``, bit for
+    bit, on every testbed state."""
+    values = build_states(testbed_trace).values
+    scores = testbed_tool._exception_scores(values)
+    assert len(scores) == len(values) > 100
+    for row, score in zip(values, scores.tolist()):
+        got = testbed_tool.exception_score(row)
+        assert np.float64(got).tobytes() == np.float64(score).tobytes()
 
 
 def test_is_exception_uses_config_threshold(testbed_tool, testbed_trace):

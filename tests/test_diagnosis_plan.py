@@ -7,9 +7,10 @@ times) through ``push_batch``'s ingest step at seeded chunkings, once on
 the plan and once on the oracle (``tests/diagnosis_oracle.py``, the chain
 the plan replaced), and compare the two bit for bit: reports, their
 observations, incident events, node summaries and drift.  They also pin
-model rotation, a stat-less model, ``VN2.diagnose`` against a cold
-streamed diagnosis, the report step of ``diagnose_batch`` and the
-public per-state helpers.
+model rotation, the factor cache against the uncached oracle, the
+refusal of a stat-less model, ``VN2.diagnose`` against a streamed
+diagnosis, the report step of ``diagnose_batch`` and the public
+per-state helpers.
 """
 
 from __future__ import annotations
@@ -160,24 +161,29 @@ def test_set_model_mid_stream_matches_oracle(testbed_tool, other_tool, frame):
 
 
 def test_cold_session_matches_oracle(testbed_tool, frame):
-    got = _replay(StreamingDiagnosisSession, testbed_tool, frame, 4,
-                  warm_start=False)
+    """Every solve starts cold; the session's factor cache must leave it
+    bit-identical to the oracle chain solving with no cache at all."""
+    got = _replay(StreamingDiagnosisSession, testbed_tool, frame, 4)
     want = _replay(oracle.OracleSession, testbed_tool, frame, 4,
-                   warm_start=False)
+                   cached=False)
     _assert_same(got, want)
 
 
 def test_statless_model_matches_oracle(testbed_tool, frame):
+    """A model without training stats cannot screen: the session refuses
+    a batch exactly as the oracle does, before diagnosing anything."""
     statless = copy.deepcopy(testbed_tool)
     statless._train_mean = None
-    got = _replay(StreamingDiagnosisSession, statless, frame, 5)
-    want = _replay(oracle.OracleSession, statless, frame, 5)
-    _assert_same(got, want)
+    batch = _whole_batch(frame)
+    for cls in (StreamingDiagnosisSession, oracle.OracleSession):
+        session = _session(cls, statless)
+        with pytest.raises(RuntimeError, match="not fitted"):
+            session._push(batch)
+        assert session.n_exceptions == 0
 
 
 def test_diagnose_matches_oracle_and_cold_stream(testbed_tool, frame):
-    session = _session(StreamingDiagnosisSession, testbed_tool,
-                       warm_start=False)
+    session = _session(StreamingDiagnosisSession, testbed_tool)
     states, _sc, flags, diagnoses = session._push(_whole_batch(frame))
     flagged = np.flatnonzero(flags)
     assert flagged.size > 100
@@ -191,14 +197,13 @@ def test_diagnose_matches_oracle_and_cold_stream(testbed_tool, frame):
         )
 
 
-@pytest.mark.parametrize("warm_start", [True, False])
-def test_update_reports_match_oracle(testbed_tool, frame, warm_start):
+@pytest.mark.parametrize("cached", [True, False])
+def test_update_reports_match_oracle(testbed_tool, frame, cached):
     """``_updates`` (``process``, ``diagnose_stream``, ``push_packet``)
-    still hands out the chain's reports, next to the same events."""
-    session = _session(StreamingDiagnosisSession, testbed_tool,
-                       warm_start=warm_start)
-    reference = _session(oracle.OracleSession, testbed_tool,
-                         warm_start=warm_start)
+    still hands out the chain's reports, next to the same events, whether
+    or not the oracle solves through a factor cache."""
+    session = _session(StreamingDiagnosisSession, testbed_tool)
+    reference = _session(oracle.OracleSession, testbed_tool, cached=cached)
     got, want = (
         [(_report_key(u.report), [_obs_key(o) for o in u.observations],
           [_event_key(e) for e in u.events])
@@ -210,8 +215,7 @@ def test_update_reports_match_oracle(testbed_tool, frame, warm_start):
     assert [key for key, _obs, _events in got] == [
         _report_key(r) for r in reference.reports
     ]
-    one_row = _session(StreamingDiagnosisSession, testbed_tool,
-                       warm_start=warm_start)
+    one_row = _session(StreamingDiagnosisSession, testbed_tool)
     order = _arrival_order(frame)
     reports = []
     for i in order[:3000].tolist():
@@ -344,7 +348,7 @@ def test_sink_family_and_drift_match_the_report(testbed_tool,
     tool = copy.deepcopy(testbed_tool)
     tool.config.min_weight_fraction = min_weight_fraction
     tool._plan = None
-    session = _session(StreamingDiagnosisSession, tool, warm_start=False)
+    session = _session(StreamingDiagnosisSession, tool)
     plan = _CraftedPlan(tool)
     plan.queue = []
     session._plan = plan

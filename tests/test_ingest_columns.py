@@ -13,7 +13,8 @@ n×43 float64 metrics, row-major.  The contract checked here:
 * ``protocol.ingest`` sends a batch the sink would refuse as rows (a
   hand-packed attachment still reaches the sink's own checks), so the
   answer is the row shape's, also for defects only JSON can carry
-  (``bool``/``float``/string ids, ids of 2**63 and more, huge-int times);
+  (``bool``/``float``/string ids, ids of 2**63 and more, ``bool`` and
+  huge-int times, ``bool`` and string metric values);
 * the float64 bytes round-trip exactly, at the float edges and at batch
   sizes 1 and ``MAX_BATCH``, in the documented layout;
 * structural defects of an attachment ingest answer ``bad_request``;
@@ -86,13 +87,15 @@ def pack(packets, seq=1, deployment="city-a"):
 
 def _packable(packets):
     """Whether :func:`pack` carries ``packets`` as the rows hold them:
-    every id an ``int`` an int64 holds, every time an ``int`` or
-    ``float`` a float64 holds, and values that stack to (n, 43)."""
+    every id an ``int`` an int64 holds, every time and metric value an
+    ``int`` or ``float`` a float64 holds, and values that stack to
+    (n, 43)."""
     try:
         if not all(type(p[key]) is int and -2**63 <= p[key] < 2**63
                    for p in packets for key in ("node_id", "epoch")):
             return False
-        if not all(type(p["generated_at"]) in (int, float) for p in packets):
+        if not all(type(x) in (int, float) for p in packets
+                   for x in (p["generated_at"], *p["values"])):
             return False
         np.array([p["generated_at"] for p in packets], dtype="<f8")
         values = np.array([p["values"] for p in packets], dtype="<f8")
@@ -124,7 +127,8 @@ _ID_DEFECTS = [True, False, -1, -7, 2**63, 2**63 + 2, 10**30, 3.0, "7", None,
 _TIME_DEFECTS = [math.nan, math.inf, -math.inf, "soon", None, True, 10**400,
                  [1.0], 12345, -0.0, 2**53 + 1]
 _VALUE_DEFECTS = [math.nan, math.inf, -math.inf, -0.0, 5e-324,
-                  1.7976931348623157e308, -1.7976931348623157e308, 0]
+                  1.7976931348623157e308, -1.7976931348623157e308, 0,
+                  True, "1.5"]
 
 
 def _plant(packet, rng):
@@ -197,6 +201,22 @@ def test_sdk_builder_sends_columns_that_parse_like_rows():
     _assert_bitwise_equal(got, want)
 
 
+def test_sdk_builder_packs_numpy_scalar_values():
+    """NumPy scalars are numbers, not JSON-only defects: the SDK still
+    packs them (rows could not even be JSON-encoded with ``np.int64``)."""
+    packets = _packets(np.random.default_rng(9), 4)
+    for packet in packets:
+        packet["values"] = [np.float64(x) for x in packet["values"]]
+    packets[2]["values"][5] = np.int64(7)
+    msg = protocol.ingest("city-a", packets, seq=3)
+    assert "packets" not in msg and msg["n_packets"] == 4
+    _, _, batch = protocol.parse_ingest(*through_wire(msg))
+    assert batch.values[2, 5] == 7.0
+    assert batch.values.tobytes() == np.array(
+        [p["values"] for p in packets], dtype=float
+    ).tobytes()
+
+
 @pytest.mark.parametrize("broken", [
     lambda p: p.pop("values"),
     lambda p: p.update(values=[0.5] * (NUM_METRICS - 1)),
@@ -213,18 +233,6 @@ def test_sdk_builder_sends_rows_that_cannot_form_columns(broken):
     with pytest.raises(protocol.ProtocolError) as exc:
         protocol.parse_ingest(*through_wire(msg))
     assert (exc.value.code, exc.value.seq) == ("bad_packet", 8)
-
-
-def test_sdk_sends_a_bool_time_as_rows_and_the_sink_takes_it_as_today():
-    """``parse_packet`` takes ``true`` as time 1.0; an attachment would
-    carry the same number, but only rows keep the JSON type, so the SDK
-    leaves the answer to the row shape's rules."""
-    packets = _packets(np.random.default_rng(4), 3)
-    packets[1]["generated_at"] = True
-    msg = protocol.ingest("city-a", packets, seq=6)
-    assert msg == protocol.ingest_rows("city-a", packets, seq=6)
-    _, _, batch = protocol.parse_ingest(*through_wire(msg))
-    assert batch.generated_at[1] == 1.0
 
 
 # --------------------------------------------------------------------------
@@ -525,7 +533,10 @@ BAD_PACKETS = {
     "float node_id": ("node_id", 2.0),
     "string epoch": ("epoch", "4"),
     "string generated_at": ("generated_at", "soon"),
+    "bool generated_at": ("generated_at", True),
     "huge int generated_at": ("generated_at", 10**400),
+    "bool value": ("values", True),
+    "string value": ("values", "1.5"),
 }
 
 #: The BAD_PACKETS cases an attachment can carry.

@@ -12,7 +12,7 @@ counted, so the differential cannot pass vacuously.  The direct
 ``potrf`` factorization is pinned against ``cho_factor``.
 
 Also pinned: the one-row ``sparsify_inferred`` against
-``sparsify_weights(row_normalize=True)``, ``VN2.diagnose`` against a cold
+``sparsify_weights(row_normalize=True)``, ``VN2.diagnose`` against a
 streamed diagnosis, and where a session's ``repro_core_nnls_*`` series
 are counted.
 """
@@ -127,13 +127,11 @@ def _state_cases(Psi, rng):
 def test_kernel_matches_sweep_bitwise(cache_kind):
     rng = np.random.default_rng(7)
     cases = [
-        (Psi, [(s, infer_weights_batch(Psi, s)[0]) for s in _state_cases(Psi, rng)])
-        for _name, Psi in _psi_cases()
+        (Psi, list(_state_cases(Psi, rng))) for _name, Psi in _psi_cases()
     ]
     solves = 0
     with _branch_counts() as counts:
         for Psi, states in cases:
-            r = Psi.shape[0]
             caches = [
                 None if cache_kind == "none" else NNLSSolverCache(
                     max_patterns=1 if cache_kind == "overflow" else 2048,
@@ -144,32 +142,30 @@ def test_kernel_matches_sweep_bitwise(cache_kind):
             meters = [
                 inference.NNLSMetrics(MetricsRegistry()) for _ in range(2)
             ]
-            for state, solution in states:
-                wrong = np.where(solution > 0, 0.0, 1.0)
-                for warm in (None, solution, wrong, np.zeros((1, r))):
-                    for max_iter in (1, 2, 3, 100):
-                        out = [
-                            _solve(
-                                reference, Psi, state[None, :], max_iter,
-                                warm_start=warm, solver_cache=caches[reference],
-                                metrics=meters[reference],
-                            )
-                            for reference in (False, True)
-                        ]
-                        (w, res), (w_ref, res_ref) = out
-                        assert np.array_equal(w, w_ref)
-                        assert np.array_equal(res, res_ref)
-                        solves += 1
+            for state in states:
+                for max_iter in (1, 2, 3, 100):
+                    out = [
+                        _solve(
+                            reference, Psi, state[None, :], max_iter,
+                            solver_cache=caches[reference],
+                            metrics=meters[reference],
+                        )
+                        for reference in (False, True)
+                    ]
+                    (w, res), (w_ref, res_ref) = out
+                    assert np.array_equal(w, w_ref)
+                    assert np.array_equal(res, res_ref)
+                    solves += 1
             if cache_kind != "none":
                 kernel, sweep = caches
                 assert (kernel.hits, kernel.misses) == (sweep.hits, sweep.misses)
                 assert kernel.factors.keys() == sweep.factors.keys()
-            for attr in ("batches", "states", "warm_starts"):
+            for attr in ("batches", "states"):
                 assert (
                     getattr(meters[0], attr).value
                     == getattr(meters[1], attr).value
                 )
-    assert solves == 8 * 7 * 4 * 4  # Psi cases x states x warm starts x caps
+    assert solves == 8 * 7 * 4  # Psi cases x states x caps
     assert counts["murty_kernel"] > 0 and counts["murty_sweep"] > 0
     assert counts["murty_kernel"] == counts["murty_sweep"]
     assert counts["fallback"] > 0 and counts["fallback"] % 2 == 0
@@ -185,7 +181,7 @@ def test_rank_deficient_pattern_takes_lstsq_in_both_paths():
     entries = []
     for reference in (False, True):
         cache = NNLSSolverCache(registry=MetricsRegistry(enabled=False))
-        _solve(reference, Psi, state, warm_start=np.ones(3), solver_cache=cache)
+        _solve(reference, Psi, state, solver_cache=cache)
         entries.append(sorted(kind for kind, _ in cache.factors.values()))
     assert entries[0] == entries[1]
     assert "lstsq" in entries[0]
@@ -220,7 +216,7 @@ def test_pattern_factor_is_cho_factor():
 
 
 def test_stream_of_flagged_states_is_bitwise_identical(testbed_tool, testbed_trace):
-    """Every flagged state of a replay, in order, warm and cached."""
+    """Every flagged state of a replay, in order, cached."""
     packets = list(iter_packets(testbed_trace))
     sessions = []
     for reference in (False, True):
@@ -228,7 +224,6 @@ def test_stream_of_flagged_states_is_bitwise_identical(testbed_tool, testbed_tra
             testbed_tool,
             registry=MetricsRegistry(),
             threshold_ratio=0.001,
-            warm_start=True,
         )
         reports = []
         kernel = inference._pivot_column
@@ -251,11 +246,6 @@ def test_stream_of_flagged_states_is_bitwise_identical(testbed_tool, testbed_tra
     cache, ref_cache = session._solver_cache, ref_session._solver_cache
     assert cache.hits > 0
     assert (cache.hits, cache.misses) == (ref_cache.hits, ref_cache.misses)
-    warm_starts = [
-        s.registry.counter("repro_core_nnls_warm_starts_total").value
-        for s in (session, ref_session)
-    ]
-    assert warm_starts[0] == warm_starts[1] > 0
 
 
 def _subnormal_row():
@@ -299,7 +289,6 @@ def test_diagnose_equals_cold_streamed_diagnosis(testbed_tool, testbed_trace):
         testbed_tool,
         registry=MetricsRegistry(enabled=False),
         threshold_ratio=0.001,
-        warm_start=False,
     )
     compared = 0
     for packet in iter_packets(testbed_trace):
@@ -328,10 +317,12 @@ def test_diagnose_rejects_nan_state_and_clips_inf(testbed_tool):
     assert np.isfinite(report.residual)
 
 
-@pytest.mark.parametrize("warm", [True, False])
+@pytest.mark.parametrize("per_epoch_rate", [True, False])
 def test_session_counts_solves_in_its_own_registry(
-    testbed_tool, testbed_trace, warm
+    testbed_tool, testbed_trace, per_epoch_rate
 ):
+    """Each flagged state is one solve, counted once in the session's own
+    registry, whichever way the state builder turns packets into rates."""
     labels = {
         "deployment": "ops",
         "worker": "0",
@@ -346,7 +337,7 @@ def test_session_counts_solves_in_its_own_registry(
             registry=registry,
             metric_labels=labels,
             threshold_ratio=0.001,
-            warm_start=warm,
+            per_epoch_rate=per_epoch_rate,
         )
         for packet in iter_packets(testbed_trace):
             session.push_packet(*packet)
@@ -358,10 +349,6 @@ def test_session_counts_solves_in_its_own_registry(
     seconds = registry.histogram("repro_core_nnls_batch_seconds", labels=labels)
     assert states.value == batches.value == session.n_exceptions
     assert seconds.count == session.n_exceptions
-    warm_starts = registry.counter(
-        "repro_core_nnls_warm_starts_total", labels=labels
-    ).value
-    assert (warm_starts > 0) == warm
     # No second count in the process-default registry.
     assert "repro_core_nnls_states_total" not in default.collect()
 
@@ -413,7 +400,7 @@ def test_every_one_column_solve_goes_through_solve_passive_column(
     testbed_tool, testbed_trace
 ):
     """Swapping ``inference._solve_passive_column`` reaches every
-    per-state solve (a streamed diagnosis, warm or cold, ``VN2.diagnose``
+    per-state solve (a streamed diagnosis, ``VN2.diagnose``
     and a one-row ``infer_weights_batch``), and none of them reaches the
     sweep's ``_solve_passive_sets``: the lifecycle bench's seed-path
     baseline swaps this one name."""
@@ -438,16 +425,14 @@ def test_every_one_column_solve_goes_through_solve_passive_column(
     inference._solve_passive_column = counting
     inference._solve_passive_sets = unreachable
     try:
-        for warm in (True, False):
-            session = StreamingDiagnosisSession(
-                testbed_tool, registry=MetricsRegistry(enabled=False),
-                threshold_ratio=0.001, warm_start=warm,
-            )
-            before = len(calls)
-            for packet in list(iter_packets(testbed_trace))[:3000]:
-                session.push_packet(*packet)
-            assert session.n_exceptions > 0
-            assert len(calls) - before >= session.n_exceptions
+        session = StreamingDiagnosisSession(
+            testbed_tool, registry=MetricsRegistry(enabled=False),
+            threshold_ratio=0.001,
+        )
+        for packet in list(iter_packets(testbed_trace))[:3000]:
+            session.push_packet(*packet)
+        assert session.n_exceptions > 0
+        assert len(calls) >= session.n_exceptions
         before = len(calls)
         for values in states:
             testbed_tool.diagnose(values)

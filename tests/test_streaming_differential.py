@@ -31,6 +31,7 @@ scaled ``medium`` and ``full`` presets, as the CI streaming job does.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 
@@ -200,35 +201,32 @@ def test_diagnose_stream_flushes_open_incidents(testbed_tool, testbed_trace):
         assert final.events and all(e.kind == "close" for e in final.events)
 
 
-def _legacy_model(tool, path):
-    """``tool`` saved the way an older version did: no training stats, so
-    the loaded model cannot screen."""
+def _stat_less_save(tool, path):
+    """``tool`` saved the way an older version did: no training stats."""
     tool.save(path)
     with np.load(path.with_suffix(".npz")) as arrays:
         stripped = {
             k: arrays[k] for k in arrays.files if not k.startswith("train_")
         }
     np.savez_compressed(path.with_suffix(".npz"), **stripped)
-    # A real legacy save predates model_version too — drop it from the
-    # sidecar so the load is unchecked rather than integrity-failed.
+    # A real legacy save predates model_version too.
     sidecar_path = path.with_suffix(".json")
     sidecar = json.loads(sidecar_path.read_text())
     sidecar.pop("model_version", None)
     sidecar_path.write_text(json.dumps(sidecar))
-    return VN2.load(path)
+    return path
 
 
-def test_stat_less_model_diagnoses_everything(tmp_path, testbed_tool,
-                                              testbed_trace):
-    """A legacy save (no training stats) streams like the batch fallback:
-    no screen, every state diagnosed."""
-    legacy = _legacy_model(testbed_tool, tmp_path / "model")
+def test_stat_less_save_is_refused(tmp_path, testbed_tool):
+    """A save without training stats cannot screen, so no stream is
+    diagnosed from it: ``vn2 watch`` stops at the load, before any
+    packet, with the fix."""
+    from repro.cli import main
 
-    frame = testbed_trace
-    session = StreamingDiagnosisSession(legacy)
-    updates = list(session.process(frame))
-    assert updates and all(u.is_exception for u in updates)
-    assert all(u.report is not None for u in updates)
+    path = _stat_less_save(testbed_tool, tmp_path / "model")
+    with pytest.raises(ValueError, match="re-fit it with `vn2 train`"):
+        main(["watch", str(tmp_path / "trace.jsonl"), "--model", str(path),
+              "--no-follow"])
 
 
 # --------------------------------------------------------------------------
@@ -431,16 +429,48 @@ def test_push_batch_matches_on_disordered_lossy_stream(
         _assert_diagnose_stream_matches(testbed_tool, packets, **kwargs)
 
 
-def test_push_batch_matches_with_stat_less_model(
-    tmp_path, testbed_tool, testbed_trace
-):
-    legacy = _legacy_model(testbed_tool, tmp_path / "model")
+def test_push_batch_matches_with_stat_less_model(testbed_tool, testbed_trace):
+    """A model without training stats gets one answer everywhere:
+    ``push_batch``, every other streaming entry point, the per-packet
+    oracle and the batch entry points all refuse it as not fitted,
+    instead of diagnosing every state or none."""
+    from repro.analysis.evaluation import evaluate_diagnoses
+    from repro.analysis.node_report import node_health_report
+    from repro.analysis.scorecard import score_frame
+
+    tool = copy.deepcopy(testbed_tool)
+    tool._train_mean = None
     packets = list(iter_packets(testbed_trace))[:1500]
-    runs = _entry_points(legacy, packets, 3)
-    _assert_same_outputs(runs)
-    counters = runs["oracle"][0]["counters"]
-    assert counters["exceptions"] == counters["states"]
-    _assert_diagnose_stream_matches(legacy, packets)
+    states = build_states(testbed_trace)
+
+    def session(cls=StreamingDiagnosisSession):
+        return cls(tool, registry=MetricsRegistry(enabled=False))
+
+    def push_packets(cls=StreamingDiagnosisSession):
+        one_row = session(cls)
+        for packet in packets:
+            one_row.push_packet(*packet)
+
+    refusals = {
+        "push_batch": lambda: session().push_batch(
+            PacketBatch.from_packets(packets)
+        ),
+        "push_packet": push_packets,
+        "oracle": lambda: push_packets(PacketLoopSession),
+        "process": lambda: list(session().process(packets)),
+        "diagnose_stream": lambda: list(tool.diagnose_stream(packets)),
+        "exception_score": lambda: tool.exception_score(states.values[0]),
+        "aggregator": lambda: IncidentAggregator(tool).observations(states),
+        "evaluation": lambda: evaluate_diagnoses(
+            tool, testbed_trace, states=states.select(range(50))
+        ),
+        "node_report": lambda: node_health_report(tool, testbed_trace),
+        "scorecard": lambda: score_frame(tool, testbed_trace),
+    }
+    for name, call in refusals.items():
+        with pytest.raises(RuntimeError, match="not fitted"):
+            call()
+            pytest.fail(f"{name} accepted a stat-less model")
 
 
 def test_push_batch_matches_across_set_model(testbed_tool, testbed_trace):
