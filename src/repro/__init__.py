@@ -108,19 +108,33 @@ if TYPE_CHECKING:  # pragma: no cover - static typing only
     from repro.traces.frame import TraceFrame
 
 
-def __getattr__(name: str):
-    """PEP 562 lazy attribute access for the re-exports above."""
-    try:
-        module_name, attr = _LAZY_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _lazy_exports(namespace: dict, exports: dict):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package whose public
+    names are re-exported lazily.
+
+    Args:
+        namespace: The package's ``globals()``; each value is cached
+            there on first access.
+        exports: name -> (module, attribute); the module is imported
+            only when one of its names is first looked up.
+    """
     import importlib
 
-    module = importlib.import_module(module_name)
-    value = getattr(module, attr)
-    globals()[name] = value  # cache for subsequent lookups
-    return value
+    def __getattr__(name: str):
+        try:
+            module_name, attr = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module_name), attr)
+        namespace[name] = value  # cache for subsequent lookups
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__
 
 
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
+__getattr__, __dir__ = _lazy_exports(globals(), _LAZY_EXPORTS)

@@ -48,6 +48,24 @@ from typing import List, Optional
 _CITYSEE_PROFILES = ("tiny", "small", "medium", "full")
 
 
+def _load_model(path: str, verb: str):
+    """``VN2.load(path)``, or ``None`` after printing why it was refused.
+
+    A missing or unreadable file, a save without training statistics and
+    a save whose payload no longer matches its recorded ``model_version``
+    (:class:`~repro.core.pipeline.ModelIntegrityError`, a ``ValueError``)
+    all end as one line on stderr, ``vn2 <verb>: <reason>``; the caller
+    returns 1.
+    """
+    from repro.core.pipeline import VN2
+
+    try:
+        return VN2.load(path)
+    except (OSError, ValueError) as exc:
+        print(f"vn2 {verb}: {exc}", file=sys.stderr)
+        return None
+
+
 def _resolve_trace(arg: str, fmt: Optional[str], jobs: int = 1):
     """Load a trace file, or generate one from a ``kind:variant`` spec.
 
@@ -161,11 +179,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    from repro.core.pipeline import VN2
     from repro.core.states import build_states
     from repro.traces.io import load_frame
 
-    tool = VN2.load(args.model)
+    tool = _load_model(args.model, "diagnose")
+    if tool is None:
+        return 1
     frame = load_frame(args.trace, fmt=args.format)
     if args.start is not None or args.end is not None:
         frame = frame.window(args.start or 0.0, args.end or float("inf"))
@@ -202,11 +221,12 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     import os
     import time as _time
 
-    from repro.core.pipeline import VN2
     from repro.core.streaming import StreamingDiagnosisSession
     from repro.traces.io import read_frame_header, tail_frame_jsonl
 
-    tool = VN2.load(args.model)
+    tool = _load_model(args.model, "watch")
+    if tool is None:
+        return 1
 
     # Wait for the trace file (and its header line) to appear — a live
     # writer may still be creating it when the watcher starts.
@@ -362,10 +382,11 @@ async def _serve_async(tool, config, ready_file: Optional[str]) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.core.pipeline import VN2
     from repro.service.server import ServiceConfig
 
-    tool = VN2.load(args.model)
+    tool = _load_model(args.model, "serve")
+    if tool is None:
+        return 1
     positions = None
     if args.positions_from:
         from repro.traces.io import read_frame_header
@@ -472,12 +493,8 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
 
 
 def _cmd_model_info(args: argparse.Namespace) -> int:
-    from repro.core.pipeline import VN2
-
-    try:
-        tool = VN2.load(args.model)
-    except ValueError as exc:
-        print(f"vn2 model info: {exc}", file=sys.stderr)
+    tool = _load_model(args.model, "model info")
+    if tool is None:
         return 1
     meta = tool._sidecar_meta()
     norm = meta.get("normalizer") or {}
@@ -506,10 +523,10 @@ def _cmd_model_info(args: argparse.Namespace) -> int:
 def _cmd_model_diff(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.core.pipeline import VN2
-
-    a = VN2.load(args.model_a)
-    b = VN2.load(args.model_b)
+    a = _load_model(args.model_a, "model diff")
+    b = _load_model(args.model_b, "model diff")
+    if a is None or b is None:
+        return 1
     print(f"a: {args.model_a} ({a.model_version})")
     print(f"b: {args.model_b} ({b.model_version})")
     if a.model_version == b.model_version:

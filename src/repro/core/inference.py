@@ -18,7 +18,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import cho_solve, get_lapack_funcs
-from scipy.optimize import nnls
 
 from repro.core.sparsify import _check_weights, _row_mass_mask
 from repro.obs import get_registry
@@ -27,6 +26,17 @@ from repro.obs import get_registry
 #: solves against the factor), the routines ``cho_factor`` and
 #: ``cho_solve`` end in, resolved once for float64 operands.
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), (np.zeros((1, 1)),))
+
+
+def nnls(A: np.ndarray, b: np.ndarray):
+    """``scipy.optimize.nnls``, imported on the first call.
+
+    Only columns the pivoting sweep fails to converge on reach it, so
+    the sink does not pay for importing ``scipy.optimize`` at start-up.
+    """
+    from scipy.optimize import nnls as scipy_nnls
+
+    return scipy_nnls(A, b)
 
 
 class NNLSSolverCache:

@@ -63,7 +63,7 @@ import json
 import math
 import re
 from itertools import chain
-from numbers import Real
+from numbers import Integral, Real
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -123,12 +123,22 @@ class FramingError(ProtocolError):
     answers it and closes the connection."""
 
 
+def _numpy_scalar(value):
+    """``json.dumps`` fallback: a NumPy scalar as the Python number it
+    holds.  A row an SDK caller built from arrays may carry one, and
+    :func:`ingest` sends rows when the batch has a bad packet."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def encode(message: dict) -> bytes:
     """Frame one message for the wire: compact JSON and a newline, then
     the attachment of an :func:`ingest_columns` message."""
     attachment = message.get(ATTACHMENT)
     if attachment is None:
-        return (json.dumps(message, separators=(",", ":")) + "\n").encode("utf-8")
+        return (json.dumps(message, separators=(",", ":"), default=_numpy_scalar)
+                + "\n").encode("utf-8")
     header = {key: value for key, value in message.items() if key != ATTACHMENT}
     return (json.dumps(header, separators=(",", ":")) + "\n").encode("utf-8") + attachment
 
@@ -274,11 +284,19 @@ def _finite(number) -> bool:
         return False
 
 
-# Exact JSON types of the columns (bool is an int subclass, so it is
-# left to the per-packet path to reject).
-_INT = {int}
-_NUMBER = {int, float}
 _LIST = {list}
+
+
+def _integers(items) -> bool:
+    """Whether every item is an integer and none a ``bool``.
+
+    NumPy integers pass and are packed like Python ints (an SDK caller
+    may hand in ids read from an array); JSON never carries them.
+    """
+    return all(
+        issubclass(kind, Integral) and not issubclass(kind, bool)
+        for kind in set(map(type, items))
+    )
 
 
 def _numbers(items) -> bool:
@@ -298,11 +316,11 @@ def _parse_columns(packets: list) -> Optional[PacketBatch]:
     """A row-shaped batch as columns, or None if any packet fails any
     check.
 
-    The checks of :func:`parse_packet`, run column by column with exact
-    JSON types; the ``values`` width is checked by the shape of the
-    stacked matrix.  A None sends the sink to the per-packet path,
-    which names the first bad packet, and :func:`ingest` to the row
-    shape.
+    The checks of :func:`parse_packet`, run column by column, with
+    NumPy scalars taken as the numbers they hold; the ``values`` width
+    is checked by the shape of the stacked matrix.  A None sends the
+    sink to the per-packet path, which names the first bad packet, and
+    :func:`ingest` to the row shape.
     """
     try:
         node_ids = [p["node_id"] for p in packets]
@@ -311,9 +329,8 @@ def _parse_columns(packets: list) -> Optional[PacketBatch]:
         values = [p["values"] for p in packets]
     except (KeyError, TypeError):  # a missing key, or not an object
         return None
-    if (set(map(type, values)) != _LIST or set(map(type, node_ids)) != _INT
-            or set(map(type, epochs)) != _INT
-            or not set(map(type, times)) <= _NUMBER
+    if (set(map(type, values)) != _LIST or not _integers(node_ids)
+            or not _integers(epochs) or not _numbers(times)
             or not _numbers(chain.from_iterable(values))):
         return None
     try:

@@ -51,6 +51,46 @@ def test_serve_parser_accepts_tuned_knobs():
     assert args.ready_file == "ports.json"
 
 
+def _model_argv(verb, model, good):
+    """``vn2 <verb>`` argv loading ``model`` (``good`` is a loadable save
+    for the verbs that take two)."""
+    return {
+        "watch": ["watch", "trace.jsonl", "--model", model, "--no-follow"],
+        "serve": ["serve", model, "--port", "0", "--http-port", "0"],
+        "diagnose": ["diagnose", model, "trace.jsonl"],
+        "model info": ["model", "info", model],
+        "model diff": ["model", "diff", good, model],
+    }[verb]
+
+
+@pytest.mark.parametrize("defect", ["missing", "tampered"])
+@pytest.mark.parametrize(
+    "verb", ["watch", "serve", "diagnose", "model info", "model diff"]
+)
+def test_model_load_refusal_is_one_line(tmp_path, capsys, testbed_tool,
+                                        verb, defect):
+    """Every verb that loads a model turns a refused load into one line
+    on stderr, ``vn2 <verb>: <reason>``, and exit code 1, before it
+    touches a trace or a socket."""
+    import numpy as np
+
+    good = tmp_path / "good"
+    testbed_tool.save(good)
+    model = tmp_path / "model"
+    if defect == "tampered":
+        testbed_tool.save(model)
+        with np.load(model.with_suffix(".npz")) as arrays:
+            payload = {name: arrays[name] for name in arrays.files}
+        payload["W"] = payload["W"] * 1.5
+        np.savez_compressed(model.with_suffix(".npz"), **payload)
+    assert main(_model_argv(verb, str(model), str(good))) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"vn2 {verb}: ")
+    assert captured.err.count("\n") == 1
+    assert ("No such file" if defect == "missing" else "hashes to") in captured.err
+    assert str(model) in captured.err
+
+
 def test_simulate_train_diagnose_flow(tmp_path, capsys):
     trace_path = tmp_path / "trace.jsonl"
     rc = main([

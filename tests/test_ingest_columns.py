@@ -217,6 +217,43 @@ def test_sdk_builder_packs_numpy_scalar_values():
     ).tobytes()
 
 
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+def test_sdk_builder_packs_numpy_integer_ids(kind):
+    """NumPy integer ids and epochs (and NumPy float times) are packed
+    like the Python numbers they hold, to the same bytes; a ``bool`` id
+    still goes in row shape."""
+    packets = _packets(np.random.default_rng(11), 4)
+    numpy_packets = [
+        dict(p, node_id=kind(p["node_id"]), epoch=kind(p["epoch"]),
+             generated_at=np.float64(p["generated_at"]))
+        for p in packets
+    ]
+    msg = protocol.ingest("city-a", numpy_packets, seq=5)
+    assert "packets" not in msg and msg["n_packets"] == 4
+    assert protocol.encode(msg) == protocol.encode(
+        protocol.ingest("city-a", packets, seq=5)
+    )
+    for flag in (True, np.bool_(True)):
+        assert "packets" in protocol.ingest(
+            "city-a", [dict(packets[0], node_id=flag)]
+        )
+
+
+def test_sdk_rows_carry_numpy_integers_as_json_numbers():
+    """A batch with a bad packet goes as rows, NumPy ids and all: the
+    sink names the bad packet as it would for Python ints."""
+    packets = _packets(np.random.default_rng(12), 3)
+    packets[2]["generated_at"] = math.nan
+    numpy_packets = [dict(p, node_id=np.int64(p["node_id"])) for p in packets]
+    msg = protocol.ingest("city-a", numpy_packets, seq=6)
+    assert protocol.encode(msg) == protocol.encode(
+        protocol.ingest("city-a", packets, seq=6)
+    )
+    with pytest.raises(protocol.ProtocolError) as exc:
+        protocol.parse_ingest(*through_wire(msg))
+    assert exc.value.code == "bad_packet" and "generated_at" in str(exc.value)
+
+
 @pytest.mark.parametrize("broken", [
     lambda p: p.pop("values"),
     lambda p: p.update(values=[0.5] * (NUM_METRICS - 1)),

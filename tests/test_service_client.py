@@ -190,6 +190,25 @@ def test_reconnect_resends_unacked_batch():
     assert sink.seen_batches == [[0, 1, 2], [0, 1, 2]]
 
 
+def test_submit_packs_numpy_integer_ids():
+    """Dict packets whose ids and epochs are NumPy integers (read out of
+    an array) are sent like Python ints, not refused by the JSON encoder."""
+    sink = _FlakySink(drop_first=0)
+    packets = [
+        dict(p, node_id=np.int64(p["node_id"]), epoch=np.uint16(p["epoch"]))
+        for p in _packets(3, epoch0=40)
+    ]
+    try:
+        client = ServiceClient(port=sink.port, backoff=_fast_backoff(),
+                               rng=random.Random(0))
+        result = client.submit("city-a", packets)
+        client.close()
+    finally:
+        sink.close()
+    assert result.accepted == 3
+    assert sink.seen_batches == [[40, 41, 42]]
+
+
 def test_reconnect_survives_several_consecutive_drops():
     sink = _FlakySink(drop_first=3)
     try:

@@ -217,16 +217,19 @@ def _stat_less_save(tool, path):
     return path
 
 
-def test_stat_less_save_is_refused(tmp_path, testbed_tool):
+def test_stat_less_save_is_refused(tmp_path, testbed_tool, capsys):
     """A save without training stats cannot screen, so no stream is
     diagnosed from it: ``vn2 watch`` stops at the load, before any
-    packet, with the fix."""
+    packet, with one line on stderr and exit code 1."""
     from repro.cli import main
 
     path = _stat_less_save(testbed_tool, tmp_path / "model")
-    with pytest.raises(ValueError, match="re-fit it with `vn2 train`"):
-        main(["watch", str(tmp_path / "trace.jsonl"), "--model", str(path),
-              "--no-follow"])
+    code = main(["watch", str(tmp_path / "trace.jsonl"), "--model", str(path),
+                 "--no-follow"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vn2 watch: ") and err.count("\n") == 1
+    assert "no training statistics" in err and "re-fit it with `vn2 train`" in err
 
 
 # --------------------------------------------------------------------------
