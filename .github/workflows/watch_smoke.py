@@ -32,6 +32,7 @@ save_frame(frame, work / "full.jsonl")
 lines = (work / "full.jsonl").read_text().splitlines()
 
 live = work / "live.jsonl"
+live.unlink(missing_ok=True)  # an earlier run's trace would repeat the header
 
 
 def writer():

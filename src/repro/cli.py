@@ -305,6 +305,10 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                 if stats_every is not None:
                     maybe_stats()
         emit(session.finish())
+    except ValueError as exc:
+        # A line the tail refuses (a second header, a row without values).
+        print(f"vn2 watch: {exc}", file=sys.stderr)
+        return 1
     finally:
         if log is not None:
             log.close()

@@ -29,11 +29,7 @@ from repro.core.states import (
     build_states,
     stack_states,
 )
-from repro.core.exceptions import (
-    ExceptionSet,
-    StreamingExceptionDetector,
-    detect_exceptions,
-)
+from repro.core.exceptions import ExceptionSet, detect_exceptions
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.nmf import NMFResult, nmf, nmf_best_of, kl_divergence, frobenius_loss
 from repro.core.sparsify import sparsify_weights
@@ -70,7 +66,6 @@ __all__ = [
     "build_states",
     "stack_states",
     "ExceptionSet",
-    "StreamingExceptionDetector",
     "detect_exceptions",
     "MinMaxNormalizer",
     "NMFResult",

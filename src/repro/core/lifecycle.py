@@ -34,13 +34,12 @@ from typing import Deque
 import numpy as np
 
 from repro.obs import get_registry, span
-from repro.core.exceptions import detect_exceptions
 from repro.core.inference import infer_weights_batch
 from repro.core.nmf import NMFResult, _EPS, frobenius_loss
 from repro.core.normalization import MinMaxNormalizer
 from repro.core.pipeline import VN2, DiagnosisReport
 from repro.core.sparsify import sparsify_weights
-from repro.core.states import StateMatrix
+from repro.core.states import StateMatrix, merge_state_matrices
 
 
 def incremental_refit(
@@ -80,26 +79,9 @@ def incremental_refit(
         if tool.states_ is None:
             combined = new_states
         else:
-            combined = StateMatrix(
-                values=np.vstack([tool.states_.values, new_states.values]),
-                provenance=[*tool.states_.provenance, *new_states.provenance],
-            )
+            combined = merge_state_matrices([tool.states_, new_states])
         tool.states_ = combined
-        values = combined.values
-        tool._train_mean = values.mean(axis=0)
-        std = values.std(axis=0)
-        tool._train_std = np.where(std < 1e-12, 1.0, std)
-        z = (values - tool._train_mean) / tool._train_std
-        tool._train_max_eps = float(np.max((z * z).sum(axis=1)))
-
-        if tool.config.filter_exceptions:
-            tool.exceptions_ = detect_exceptions(
-                combined, threshold_ratio=tool.config.exception_threshold
-            )
-            training = tool.exceptions_.states
-        else:
-            tool.exceptions_ = None
-            training = combined
+        training = tool._screen_training(combined)
 
         tool.normalizer_ = MinMaxNormalizer.fit(
             training.values, pad_fraction=tool.config.normalizer_pad

@@ -31,7 +31,11 @@ from typing import (
 import numpy as np
 
 from repro.obs import get_registry, span
-from repro.core.exceptions import ExceptionSet, detect_exceptions
+from repro.core.exceptions import (
+    ExceptionSet,
+    detect_exceptions,
+    deviation_stats,
+)
 from repro.core.inference import infer_weights_batch
 from repro.core.interpretation import RootCauseInterpreter, RootCauseLabel
 from repro.core.nmf import NMFResult, nmf
@@ -239,31 +243,8 @@ class VN2:
         self._model_version = None
         self._plan = None
 
-        # Deviation statistics for online exception scoring: mean/std of
-        # every metric over the training states and the largest training
-        # deviation, so ``exception_score`` reproduces the paper's
-        # ``ε/max(ε)`` ratio on states arriving after training.
-        values = states.values
-        self._train_mean = values.mean(axis=0)
-        std = values.std(axis=0)
-        self._train_std = np.where(std < 1e-12, 1.0, std)
-        z = (values - self._train_mean) / self._train_std
-        epsilon = (z * z).sum(axis=1)
-        self._train_max_eps = float(np.max(epsilon))
-
         with span("fit.exceptions", n_states=len(states)) as sp:
-            if self.config.filter_exceptions:
-                # epsilon is exactly deviation_scores(values); hand it over
-                # so the detector skips its own identical pass.
-                self.exceptions_ = detect_exceptions(
-                    states,
-                    threshold_ratio=self.config.exception_threshold,
-                    epsilon=epsilon,
-                )
-                training = self.exceptions_.states
-            else:
-                self.exceptions_ = None
-                training = states
+            training = self._screen_training(states)
         self.timings_["exceptions"] = sp.wall_s
         if len(training) < 2:
             raise ValueError(
@@ -343,6 +324,29 @@ class VN2:
             "Network states consumed by VN2 fits",
         ).inc(len(states))
         return self
+
+    def _screen_training(self, states: StateMatrix) -> StateMatrix:
+        """Take the training statistics of ``states``; return the NMF rows.
+
+        The mean, spread and largest deviation over the training states
+        let ``exception_score`` reproduce the paper's ``ε/max(ε)`` ratio
+        on states arriving after training.  With the exception filter on,
+        the same ``ε`` feeds :func:`detect_exceptions` and only the
+        flagged states are returned.
+        """
+        self._train_mean, self._train_std, epsilon = deviation_stats(
+            states.values
+        )
+        self._train_max_eps = float(np.max(epsilon))
+        if not self.config.filter_exceptions:
+            self.exceptions_ = None
+            return states
+        self.exceptions_ = detect_exceptions(
+            states,
+            threshold_ratio=self.config.exception_threshold,
+            epsilon=epsilon,
+        )
+        return self.exceptions_.states
 
     # ------------------------------------------------------------------
     # fitted accessors

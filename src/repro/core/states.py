@@ -210,6 +210,29 @@ def stack_states(streamed: Sequence[StreamedState]) -> StateMatrix:
     )
 
 
+def merge_state_matrices(parts: List[StateMatrix]) -> Optional[StateMatrix]:
+    """Concatenate state matrices in the given order, column by column.
+
+    Empty parts are dropped; returns ``None`` when nothing is left and
+    the part itself when only one is.  No per-row provenance object is
+    built, so merging a model's training states with a refit batch costs
+    six array concatenations.
+    """
+    parts = [p for p in parts if len(p)]
+    if not parts:
+        return None
+    if len(parts) == 1:
+        return parts[0]
+    return StateMatrix(
+        values=np.concatenate([p.values for p in parts]),
+        node_ids=np.concatenate([p.node_ids for p in parts]),
+        epochs_from=np.concatenate([p.epochs_from for p in parts]),
+        epochs_to=np.concatenate([p.epochs_to for p in parts]),
+        times_from=np.concatenate([p.times_from for p in parts]),
+        times_to=np.concatenate([p.times_to for p in parts]),
+    )
+
+
 class StreamingStateBuilder:
     """Incremental network-state construction from a live packet stream.
 
@@ -224,7 +247,7 @@ class StreamingStateBuilder:
     * a state is emitted only for ``0 < epoch gap <= max_epoch_gap``;
     * reboots / counter resets need no special casing — the raw signed
       delta (a large negative jump) passes through untouched, which is
-      what the exception detector keys on.
+      what the exception screen keys on.
 
     The cache is slot-indexed: each node seen so far owns one slot (a
     ``node -> slot`` dict), and the slot's last epoch, arrival time and

@@ -193,10 +193,3 @@ def merge_packets(packets: Iterable[ReportPacket]) -> np.ndarray:
         for name, value in packet.values.items():
             snapshot[METRIC_INDEX[name]] = value
     return snapshot
-
-
-def packet_class_of(packet: ReportPacket) -> PacketClass:
-    """The :class:`PacketClass` of a packet instance."""
-    if packet.PACKET_CLASS is None:
-        raise TypeError("bare ReportPacket has no packet class")
-    return packet.PACKET_CLASS

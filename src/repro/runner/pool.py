@@ -15,8 +15,8 @@ sides build on:
 * :class:`ProcessPool` — spawn/monitor/stop a set of handles running one
   top-level target function ``target(conn, worker_id, *args)``.
 * :func:`attach_span_trees` — graft serialized worker span trees into a
-  local tracer in a deterministic order (extracted from the engine's
-  private helper so the service's cluster rollup reuses it).
+  local tracer in a deterministic order (the engine's job-grid runs use
+  it; the service's workers send no spans).
 
 Messages are plain picklable objects (dicts with numpy arrays are fine);
 framing, ordering and backpressure semantics are the caller's contract.

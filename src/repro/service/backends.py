@@ -52,7 +52,7 @@ from collections import OrderedDict
 from hashlib import sha256
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.obs import get_tracer, merge_dumps
+from repro.obs import merge_dumps
 from repro.service import protocol
 from repro.service.metrics import (
     LatencyWindow,
@@ -421,13 +421,6 @@ class ShardRouter:
                 route.publish(message["lines"], message["n_events"])
         elif mtype == "w_bye":
             self._dumps[worker_id] = message.get("dump") or {}
-            spans = message.get("spans") or []
-            if spans:
-                from repro.runner.pool import attach_span_trees
-
-                attach_span_trees(
-                    get_tracer(), list(enumerate(spans))
-                )
             if not info["bye"].done():
                 info["bye"].set_result(True)
         elif mtype in (

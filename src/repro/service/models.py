@@ -37,34 +37,10 @@ import threading
 import weakref
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.core.states import StateMatrix
+from repro.core.states import StateMatrix, merge_state_matrices
 from repro.obs import span
 
-__all__ = ["ModelManager", "merge_state_matrices"]
-
-
-def merge_state_matrices(parts: List[StateMatrix]) -> Optional[StateMatrix]:
-    """Concatenate per-shard state matrices into one refit batch.
-
-    Returns ``None`` when nothing survives (all parts empty).  Order is
-    the caller's: the manager appends drains chronologically, so the
-    batch preserves arrival order within each shard.
-    """
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return None
-    if len(parts) == 1:
-        return parts[0]
-    return StateMatrix(
-        values=np.concatenate([p.values for p in parts]),
-        node_ids=np.concatenate([p.node_ids for p in parts]),
-        epochs_from=np.concatenate([p.epochs_from for p in parts]),
-        epochs_to=np.concatenate([p.epochs_to for p in parts]),
-        times_from=np.concatenate([p.times_from for p in parts]),
-        times_to=np.concatenate([p.times_to for p in parts]),
-    )
+__all__ = ["ModelManager"]
 
 
 def _refit_main(conn, worker_id: str, tool, states, warm_iterations, tol) -> None:

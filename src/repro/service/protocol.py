@@ -867,9 +867,9 @@ def worker_topology(req: int, worker: str, nodes: dict) -> dict:
             "worker": worker, "nodes": nodes}
 
 
-def worker_bye(worker: str, dump: dict, spans: Optional[list] = None) -> dict:
+def worker_bye(worker: str, dump: dict) -> dict:
     return {"v": PROTOCOL_VERSION, "type": "w_bye", "worker": worker,
-            "dump": dump, "spans": spans or []}
+            "dump": dump}
 
 
 def worker_error(worker: str, message: str, deployment: Optional[str] = None) -> dict:

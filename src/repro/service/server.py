@@ -358,13 +358,6 @@ class DiagnosisService:
             if server is not None:
                 await server.wait_closed()
 
-    async def serve_forever(self, stop_event: Optional[asyncio.Event] = None) -> None:
-        """Run until ``stop_event`` is set (``vn2 serve`` wires signals to it)."""
-        if stop_event is None:
-            stop_event = asyncio.Event()
-        await stop_event.wait()
-        await self.stop(drain=True)
-
     def _deployment_materialized(self, deployment: str) -> None:
         """Backend hook: a new shard/route exists.  Lets the dashboard
         hub subscribe before the deployment's first events publish."""

@@ -429,6 +429,34 @@ def _iter_chunks_npz(path: Path, chunk_rows: int) -> Iterator[TraceFrame]:
                 stream.close()
 
 
+#: The fields :func:`tail_frame_jsonl` reads from each snapshot row.
+_SNAPSHOT_KEYS = frozenset(("node_id", "epoch", "generated_at", "values"))
+
+
+def _tail_json(line: str, path: Path, line_no: int):
+    try:
+        return json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{line_no}: not JSON ({exc})") from None
+
+
+def _tail_packet(line: str, path: Path, line_no: int) -> tuple:
+    """One tailed snapshot row as a ``(node_id, epoch, generated_at,
+    values)`` packet; any other line is refused with its position."""
+    row = _tail_json(line, path, line_no)
+    if (
+        not isinstance(row, dict)
+        or not _SNAPSHOT_KEYS.issubset(row)
+        or not isinstance(row["values"], list)
+        or len(row["values"]) != NUM_METRICS
+    ):
+        raise ValueError(
+            f"{path}:{line_no}: not a snapshot row (a snapshot row has "
+            f"node_id, epoch, generated_at and {NUM_METRICS} values)"
+        )
+    return (row["node_id"], row["epoch"], row["generated_at"], row["values"])
+
+
 def tail_frame_jsonl(
     path: Union[str, Path],
     poll_s: float = 0.5,
@@ -443,7 +471,10 @@ def tail_frame_jsonl(
     complete row yields nothing) — the packet source a live ``vn2 watch``
     consumes.  A partial line (a writer mid-append) is kept until its
     newline arrives; a truncated file (trace rollover) restarts the
-    reader from the new beginning.
+    reader from the new beginning, header check included.  Any line
+    after the header that is not a snapshot row (a second header, a row
+    without ``values``, broken JSON) raises :class:`ValueError` naming
+    the file and the line number.
 
     Args:
         path: The JSONL trace file (its header line is validated and
@@ -462,6 +493,7 @@ def tail_frame_jsonl(
     )
     partial = ""
     saw_header = False
+    line_no = 0  # complete lines consumed so far
     idle = 0.0
     with path.open("r", encoding="utf-8") as fh:
         while True:
@@ -470,16 +502,19 @@ def tail_frame_jsonl(
                 idle = 0.0
                 lines = (partial + data).split("\n")
                 partial = lines.pop()
-                rows = [json.loads(line) for line in lines if line.strip()]
-                if rows and not saw_header:
-                    _check_header(rows.pop(0), path)
-                    saw_header = True
-                if rows:
-                    m_rows.inc(len(rows))
-                    yield PacketBatch.from_packets([
-                        (r["node_id"], r["epoch"], r["generated_at"], r["values"])
-                        for r in rows
-                    ])
+                packets = []
+                for line in lines:
+                    line_no += 1
+                    if not line.strip():
+                        continue
+                    if not saw_header:
+                        _check_header(_tail_json(line, path, line_no), path)
+                        saw_header = True
+                    else:
+                        packets.append(_tail_packet(line, path, line_no))
+                if packets:
+                    m_rows.inc(len(packets))
+                    yield PacketBatch.from_packets(packets)
                 continue
             if not follow:
                 return
@@ -491,6 +526,7 @@ def tail_frame_jsonl(
                     fh.seek(0)
                     partial = ""
                     saw_header = False
+                    line_no = 0
                     continue
             except OSError:
                 pass

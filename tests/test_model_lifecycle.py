@@ -6,8 +6,9 @@ differently, and a save/load roundtrip preserves it.  Tampering with a
 saved payload must fail loudly (:class:`ModelIntegrityError`); saves
 from before the hash existed still load.  On top of that sits
 :class:`OnlineVN2Updater` — clone-and-refit absorbs with a drift-score
-trigger — and :func:`merge_state_matrices`, the per-shard batch merge
-the sink's :class:`~repro.service.models.ModelManager` refits from.
+trigger — and :func:`~repro.core.states.merge_state_matrices`, the
+state concatenation behind both ``incremental_refit`` and the per-shard
+batch the sink's :class:`~repro.service.models.ModelManager` refits from.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from repro.core.pipeline import (
     VN2Config,
     _model_fingerprint,
 )
-from repro.core.states import build_states
-from repro.service.models import merge_state_matrices
+from repro.core.states import build_states, merge_state_matrices
 
 
 @pytest.fixture(scope="module")

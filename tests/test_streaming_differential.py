@@ -2,16 +2,16 @@
 
 For each trace the full diagnosis path runs twice —
 
-* **batch**: ``build_states`` -> ``detect_exceptions`` ->
-  ``IncidentAggregator.extract`` (the paper's offline pipeline),
+* **batch**: ``build_states`` -> ``IncidentAggregator.extract`` (the
+  model's training-statistics screen, then clustering; the paper's
+  offline pipeline),
 * **streaming**: packets replayed in arrival order through the
-  per-packet oracle's differencing (``tests/packet_oracle.py``),
-  ``StreamingExceptionDetector`` and ``StreamingDiagnosisSession.process``
-  —
+  per-packet oracle's differencing (``tests/packet_oracle.py``) and
+  ``StreamingDiagnosisSession.process`` —
 
 and the two must agree exactly: the same state matrix (bit for bit,
 after reordering the time-major stream into the batch's node-major
-order), the same exception set, and ``==``-equal incident lists.
+order), the same screened states, and ``==``-equal incident lists.
 Diagnosis weight vectors are compared with ``np.allclose`` — the batch
 NNLS solver is vectorized over many right-hand sides and its results
 vary at the ULP level with batch composition, which is exactly why the
@@ -38,7 +38,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.exceptions import StreamingExceptionDetector, detect_exceptions
 from repro.core.incidents import IncidentAggregator
 from repro.core.pipeline import VN2, VN2Config
 from repro.core.states import build_states, stack_states
@@ -130,16 +129,7 @@ def _assert_differential(tool, frame, context):
             streamed.append(state)
     assert_same_states(stack_states(streamed), batch_states, context)
 
-    # 2. Exceptions: one-row-at-a-time ingestion vs one-chunk batch rule.
-    detector = StreamingExceptionDetector(threshold_ratio=threshold)
-    for i in range(len(batch_states)):
-        detector.update(batch_states.values[i])
-    online = detector.finalize(batch_states)
-    batch_exc = detect_exceptions(batch_states, threshold_ratio=threshold)
-    assert np.array_equal(online.indices, batch_exc.indices), context
-    assert np.array_equal(online.epsilon, batch_exc.epsilon), context
-
-    # 3. Incidents: live session vs batch aggregator — exact equality,
+    # 2. Incidents: live session vs batch aggregator — exact equality,
     # including peak/total strengths (shared per-state NNLS solves).
     aggregator = IncidentAggregator(
         tool, positions=positions, exception_threshold=threshold
@@ -153,7 +143,7 @@ def _assert_differential(tool, frame, context):
     stream_incidents = session.tracker.sorted_incidents()
     assert stream_incidents == batch_incidents, context
 
-    # 4. Diagnoses: same screened set, allclose weights/residuals.
+    # 3. Diagnoses: same screened set, allclose weights/residuals.
     flagged = {
         (u.state.node_id, u.state.epoch_to): u
         for u in updates

@@ -177,3 +177,22 @@ def test_tail_restarts_after_truncation(frame, tmp_path):
     rows = [*range(3), *range(10, 12)]
     assert node_ids.tolist() == frame.node_ids[rows].tolist()
     assert epochs.tolist() == frame.epochs[rows].tolist()
+
+
+@pytest.mark.parametrize("bad", ["repeated_header", "row_without_values"])
+def test_tail_refuses_a_line_that_is_not_a_snapshot_row(frame, tmp_path, bad):
+    """A second header mid-file (an appending writer restarted on an old
+    file) or a row missing a field ends the tail with the file and line."""
+    path = tmp_path / "bad.jsonl"
+    header = json.dumps(read_header_obj(frame))
+    rows = [json.dumps(_row_dict(frame, i)) for i in range(3)]
+    if bad == "repeated_header":
+        bad_line = header
+    else:
+        row = _row_dict(frame, 3)
+        del row["values"]
+        bad_line = json.dumps(row)
+    path.write_text("\n".join([header, *rows, bad_line, rows[0]]) + "\n")
+    with pytest.raises(ValueError) as excinfo:
+        list(tail_frame_jsonl(path, follow=False))
+    assert str(excinfo.value).startswith(f"{path}:5: not a snapshot row")

@@ -17,6 +17,7 @@ import pytest
 
 from repro.cli import _event_json, main
 from repro.core.pipeline import VN2
+from repro.metrics.catalog import NUM_METRICS
 from repro.traces.io import read_frame_header, save_frame
 
 from .packet_oracle import PacketLoopSession
@@ -167,6 +168,24 @@ def test_watch_missing_trace_fails_cleanly(watch_env, tmp_path, capsys):
     ])
     assert rc == 1
     assert "no readable trace" in capsys.readouterr().err
+
+
+def test_watch_refuses_a_repeated_header_in_one_line(watch_env, tmp_path,
+                                                    capsys):
+    """Two writers' runs appended to one file: the second header is
+    refused with one stderr line naming the file and line, exit code 1."""
+    model, trace = watch_env
+    lines = trace.read_text().splitlines(keepends=True)
+    doubled = tmp_path / "doubled.jsonl"
+    doubled.write_text("".join(lines[:20] + lines[:20]))
+    rc = main(["watch", str(doubled), "--model", str(model), "--no-follow"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"vn2 watch: {doubled}:21: not a snapshot row (a snapshot row has "
+        f"node_id, epoch, generated_at and {NUM_METRICS} values)"
+    ]
+    assert "Traceback" not in err
 
 
 def test_watch_stdout_prints_incident_lines(watch_env, capsys):
